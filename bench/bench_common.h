@@ -33,7 +33,7 @@ inline void PrintHeader(const std::string& artifact,
             << artifact << " — " << description << "\n"
             << "scale: " << scale
             << " (synthetic stand-ins for the paper's datasets; see "
-               "DESIGN.md §3)\n"
+               "graph/datasets.h)\n"
             << "==================================================\n";
 }
 

@@ -1,6 +1,6 @@
 // Table 5 + Exp-10/11: the DBLP case study, on the synthetic collaboration
 // network (overlapping research groups with planted prolific hub authors —
-// see DESIGN.md §3).
+// see graph/generators.h).
 //
 // Section 1 reproduces Exp-10/11: the top-1 author under Truss-Div, Comp-Div
 // and Core-Div at k=5, r=1, with the decomposition of each winner's

@@ -1,12 +1,12 @@
 #include "core/baselines.h"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_set>
 
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/query_pipeline.h"
+#include "core/score_ranking.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "graph/ego_network.h"
@@ -31,11 +31,7 @@ TopRResult DegreeBoundedTopR(QueryPipeline& pipeline, const Graph& graph,
     return graph.degree(v) / divisor;
   });
 
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
+  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
 
   TopRCollector collector(r);
   {

@@ -99,7 +99,7 @@ class BatchQueryRunner {
   }
 
   /// Sum of every query's r — the gate callers use to decide whether the
-  /// bound-ordered scan's O(n log n) ordering cost can pay for itself.
+  /// bound-ordered scan's bound pass and ordering can pay for themselves.
   std::uint64_t total_r() const {
     std::uint64_t total = 0;
     for (const BatchQuery& query : queries_) total += query.r;

@@ -1,10 +1,10 @@
 #include "core/bound_search.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/timer.h"
 #include "core/batch_query.h"
+#include "core/score_ranking.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "truss/k_truss.h"
@@ -98,11 +98,7 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
 
   // Candidates in non-increasing bound order (ties by ascending id for
   // determinism).
-  std::vector<VertexId> order(reduced.num_vertices());
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
+  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
 
   TopRCollector collector(r);
   {
@@ -159,7 +155,7 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   // m_v/C(k,2)) is non-increasing in k, so evaluating it at the smallest
   // requested k upper-bounds every query's score and the ordered scan can
   // stop once every collector prunes. With large r nearly every candidate
-  // gets scored anyway, so the m_v counting pass and the O(n log n) sort
+  // gets scored anyway, so the m_v counting pass and the bound ordering
   // would not pay for themselves. Entries are bit-identical either way.
   const bool ordered = runner.total_r() * 64 <= graph_.num_vertices();
   {
@@ -178,12 +174,7 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
           reduced.num_vertices(), &bounds, [&](QueryWorkspace&, VertexId v) {
             return UpperBound(reduced.degree(v), ego_edges[v], k_min);
           });
-      order.resize(reduced.num_vertices());
-      std::iota(order.begin(), order.end(), 0U);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](VertexId a, VertexId b) {
-                         return bounds[a] > bounds[b];
-                       });
+      order = OrderByBoundDesc(bounds);
     }
   }
 

@@ -1,13 +1,13 @@
 #include "core/dynamic_tsd_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/max_spanning_forest.h"
 #include "core/query_pipeline.h"
+#include "core/score_ranking.h"
 #include "core/top_r_collector.h"
 
 namespace tsd {
@@ -299,11 +299,7 @@ TopRResult DynamicTsdIndex::TopR(std::uint32_t r, std::uint32_t k,
   pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
     return ScoreUpperBoundIn(view, v, k);
   });
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
+  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
 
   TopRCollector collector(r);
   result.stats.vertices_scored =

@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/query_pipeline.h"
-#include "core/top_r_collector.h"
 
 namespace tsd {
 namespace {
@@ -297,6 +296,7 @@ GctIndex GctIndex::Build(const Graph& graph, const Options& options) {
   index.se_a_ = std::move(se_a);
   index.se_b_ = std::move(se_b);
   index.se_w_ = std::move(se_w);
+  index.rankings_ = std::make_shared<RankingMemo>(index.max_trussness_);
   index.build_stats_.total_seconds = total.Seconds();
   return index;
 }
@@ -316,27 +316,6 @@ std::uint32_t GctIndex::Score(VertexId v, std::uint32_t k) const {
       se_first, se_last, [k](std::uint32_t w) { return w >= k; });
   // Lemma 3.
   return static_cast<std::uint32_t>((n_k - sn_first) - (m_k - se_first));
-}
-
-void GctIndex::ScoresForThresholds(VertexId v,
-                                   std::span<const std::uint32_t> thresholds,
-                                   std::uint32_t* scores) const {
-  TSD_DCHECK(v < num_vertices());
-  // Both slices are sorted by weight descending, so the ≥k prefixes only
-  // grow as the threshold drops: one merged sweep serves every k.
-  const auto sn_begin = sn_offsets_[v];
-  const auto sn_end = sn_offsets_[v + 1];
-  const auto se_begin = se_offsets_[v];
-  const auto se_end = se_offsets_[v + 1];
-  std::uint32_t n_k = 0;
-  std::uint32_t m_k = 0;
-  for (std::size_t t = 0; t < thresholds.size(); ++t) {
-    const std::uint32_t k = thresholds[t];
-    TSD_DCHECK(t == 0 || thresholds[t - 1] > k);
-    while (sn_begin + n_k < sn_end && sn_tau_[sn_begin + n_k] >= k) ++n_k;
-    while (se_begin + m_k < se_end && se_w_[se_begin + m_k] >= k) ++m_k;
-    scores[t] = n_k - m_k;  // Lemma 3
-  }
 }
 
 ScoreResult GctIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
@@ -386,28 +365,41 @@ ScoreResult GctIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
   return result;
 }
 
+ScoreRanking GctIndex::Answers(std::uint32_t r, std::uint32_t k,
+                               QueryPipeline& pipeline) const {
+  const VertexId n = num_vertices();
+  // Above max_trussness_ every score is 0: the answers are all padding and
+  // the memo is never touched, so a client-chosen k sizes nothing.
+  const ScoreRanking none;
+  const ScoreRanking& ranking =
+      k > max_trussness_ ? none : rankings_->Get(k, [&] {
+        std::vector<std::uint32_t> scores;
+        pipeline.MapScores(n, &scores, [this, k](QueryWorkspace&, VertexId v) {
+          return Score(v, k);
+        });
+        return RankPositiveScores(scores);
+      });
+  return RankedAnswers(ranking, r, n,
+                       [this, k](VertexId v) { return TopTrussness(v) >= k; });
+}
+
 TopRResult GctIndex::TopR(std::uint32_t r, std::uint32_t k,
                           QuerySession& session) const {
   TSD_CHECK(r >= 1);
   TSD_CHECK(k >= 2);
   WallTimer total;
   TopRResult result;
-  const VertexId n = num_vertices();
-
-  // Index-only pipeline: score queries are two binary searches per vertex.
   QueryPipeline& pipeline = session.IndexPipeline();
-  TopRCollector collector(r);
+  ScoreRanking answers;
   {
     ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreRange(
-        n, &collector,
-        [&](QueryWorkspace&, VertexId v) { return Score(v, k); });
+    answers = Answers(r, k, pipeline);
   }
+  result.stats.vertices_scored = answers.size();
   {
     ScopedTimer t(&result.stats.context_seconds);
     pipeline.MaterializeEntries(
-        collector.Ranked(), &result.entries,
-        [&](QueryWorkspace& ws, VertexId v) {
+        answers, &result.entries, [&](QueryWorkspace& ws, VertexId v) {
           return ScoreWithContexts(v, k, ws.index_scratch()).contexts;
         });
   }
@@ -425,13 +417,17 @@ std::vector<TopRResult> GctIndex::SearchBatch(
   BatchQueryRunner runner(queries);
   QueryPipeline& pipeline = session.IndexPipeline();
 
+  // Each query's answers are already its unique top-r under the total
+  // order; the collectors only carry them to the grouped context phase.
   {
     ScopedTimer t(&stats.score_seconds);
-    stats.vertices_scored = runner.Scan(
-        pipeline, num_vertices(),
-        [this, &runner](QueryWorkspace&, VertexId v, std::uint32_t* out) {
-          ScoresForThresholds(v, runner.thresholds(), out);
-        });
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (const auto& [v, score] :
+           Answers(queries[q].r, queries[q].k, pipeline)) {
+        runner.collector(q).Offer(v, score);
+        ++stats.vertices_scored;
+      }
+    }
   }
 
   {
@@ -555,6 +551,11 @@ bool GctIndex::LoadFromSnapshot(const SnapshotReader& reader, GctIndex* out,
   if (seen_max_trussness != max_trussness) {
     return Fail(error, "max trussness mismatch");
   }
+  // An ego-network truss of trussness τ has at least τ vertices, so τ ≤ n.
+  // The per-k ranking slots are sized from this value.
+  if (max_trussness > n) {
+    return Fail(error, "max trussness exceeds the vertex count");
+  }
   for (const VertexId member : members) {
     if (member >= n) return Fail(error, "member vertex out of range");
   }
@@ -570,6 +571,7 @@ bool GctIndex::LoadFromSnapshot(const SnapshotReader& reader, GctIndex* out,
   index.se_w_.BindView(se_w);
   index.max_trussness_ = max_trussness;
   index.mapping_ = reader.mapping();
+  index.rankings_ = std::make_shared<RankingMemo>(max_trussness);
 
   // The deep semantic invariants (slice ordering, superedge weights, forest
   // acyclicity) are shared with the build-time checker; translate its CHECK

@@ -11,8 +11,21 @@
 //     score(v) = N_k − M_k
 //
 // where N_k / M_k count supernodes with trussness ≥ k and superedges with
-// weight ≥ k. Both slices are stored sorted descending, so a score query is
-// two binary searches.
+// weight ≥ k. Both slices are stored sorted descending, so one vertex's
+// score is two binary searches.
+//
+// Top-r queries do not scan the vertices. The ranking at threshold k (the
+// vertices with positive score, by score desc, id asc) depends only on the
+// index and k, so the first query at k builds it with one O(n) scoring pass
+// and every later query at k, from any session, reads its answers off the
+// front (core/score_ranking.h). Score(v, k) > 0 exactly when v's top
+// supernode has trussness ≥ k (N_k ≥ 1 gives at least one forest
+// component), which makes a ranking hold Σ_v (top trussness of v − 1)
+// entries over all k. That is at most the member-array length, because v's
+// top supernode spans a whole truss component of its ego-network and so has
+// at least that many members: the rankings never outgrow the index. Above
+// max_trussness() every score is 0, so such a query answers ids
+// 0..min(r, n)−1 with score 0 and builds nothing.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +37,7 @@
 #include "common/snapshot.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
+#include "core/score_ranking.h"
 #include "core/scoring.h"
 #include "core/tsd_index.h"
 #include "core/types.h"
@@ -55,12 +69,11 @@ class GctIndex : public DiversitySearcher {
   /// score(v) at threshold k via Lemma 3 (two binary searches).
   std::uint32_t Score(VertexId v, std::uint32_t k) const;
 
-  /// score(v) at every threshold of `thresholds` (strictly descending) via
-  /// one merged sweep of the supernode and superedge slices — the
-  /// batch-query kernel.
-  void ScoresForThresholds(VertexId v,
-                           std::span<const std::uint32_t> thresholds,
-                           std::uint32_t* scores) const;
+  /// Largest supernode trussness at v (0 if v has no supernode): score(v, k)
+  /// is positive exactly for k in [2, TopTrussness(v)].
+  std::uint32_t TopTrussness(VertexId v) const {
+    return sn_offsets_[v] == sn_offsets_[v + 1] ? 0 : sn_tau_[sn_offsets_[v]];
+  }
 
   /// Score plus materialized social contexts (union of supernode member
   /// lists over the superedge forest). The scratch overload is
@@ -75,14 +88,18 @@ class GctIndex : public DiversitySearcher {
   using DiversitySearcher::SearchBatch;
   using DiversitySearcher::TopR;
 
-  /// Index-based top-r search (exact scores are cheap, so no pruning bound
-  /// is needed; the full scan is O(n log)). The index is immutable, so
-  /// concurrent sessions may query one shared instance.
+  /// Index-based top-r search: the answers are the front of the ranking at
+  /// k (built on the first query at k), so a warm query costs O(r) plus
+  /// its contexts. The index is immutable apart from the shared rankings,
+  /// which are thread-safe, so concurrent sessions may query one shared
+  /// instance. stats.vertices_scored counts the answers read from the
+  /// ranking (zero-score padding included), not vertices scanned.
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
 
-  /// Amortized batch path: one slice sweep per vertex scores every
-  /// requested threshold (bit-identical to per-query TopR).
+  /// Batch path: every query reads its answers from the ranking at its k;
+  /// winners shared by several queries are materialized together
+  /// (bit-identical to per-query TopR).
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -101,6 +118,16 @@ class GctIndex : public DiversitySearcher {
 
   /// Maximum supernode trussness anywhere (== max ego-network trussness).
   std::uint32_t max_trussness() const { return max_trussness_; }
+
+  /// Length of the supernode member array (the bound on
+  /// ranking_entries()).
+  std::size_t num_members() const { return members_.size(); }
+
+  /// Entries held by the per-k rankings built so far (derived query data;
+  /// not part of SizeBytes() or of a snapshot).
+  std::uint64_t ranking_entries() const {
+    return rankings_ == nullptr ? 0 : rankings_->num_entries();
+  }
 
   std::size_t SizeBytes() const;
   IndexBuildStats build_stats() const { return build_stats_; }
@@ -130,6 +157,12 @@ class GctIndex : public DiversitySearcher {
   void CheckInvariants() const;
 
  private:
+  /// The top-r (vertex, score) answers at k, zero-score padded to
+  /// min(r, n) entries; builds the ranking at k with `pipeline` on first
+  /// use.
+  ScoreRanking Answers(std::uint32_t r, std::uint32_t k,
+                       QueryPipeline& pipeline) const;
+
   // Supernodes, flattened vertex-major; each vertex's slice is sorted by
   // trussness descending (ties: ascending smallest member). All offset
   // arrays are 32-bit — the totals are bounded by 2m, which the build
@@ -148,6 +181,9 @@ class GctIndex : public DiversitySearcher {
 
   std::uint32_t max_trussness_ = 0;
   IndexBuildStats build_stats_;
+  // Rankings for k in [2, max_trussness_], sized at Build/LoadFromSnapshot.
+  // Behind a pointer so the index stays movable.
+  std::shared_ptr<RankingMemo> rankings_;
   // Keeps the snapshot mapping alive while the arrays view into it.
   std::shared_ptr<const MappedFile> mapping_;
 };

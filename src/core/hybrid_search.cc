@@ -14,76 +14,33 @@ HybridSearcher::HybridSearcher(const Graph& graph, const GctIndex& index,
                                std::uint32_t num_threads)
     : graph_(graph) {
   TSD_CHECK(num_threads >= 1);
+  const VertexId n = index.num_vertices();
+  top_tau_.resize(n);
+  for (VertexId v = 0; v < n; ++v) top_tau_[v] = index.TopTrussness(v);
+
+  // rankings_[k - 2] for every k in [2, max_k]. Each threshold is an
+  // independent scoring pass, so workers split the thresholds and the
+  // rankings are bit-identical at any thread count.
   const std::uint32_t max_k = std::max(2U, index.max_trussness());
   const std::uint32_t num_k = max_k - 1;
   rankings_.resize(num_k);
-
-  // thresholds[i] = max_k - i (descending), feeding rankings_[max_k - i - 2].
-  std::vector<std::uint32_t> thresholds(num_k);
-  for (std::uint32_t i = 0; i < num_k; ++i) thresholds[i] = max_k - i;
-
-  // One multi-k slice sweep per vertex; chunks cover contiguous ascending
-  // vertex ranges and concatenate in order. The final per-k sort is under
-  // the library total order (score desc, id asc), which is total on the
-  // unique vertices, so the rankings are bit-identical at any thread count.
-  using Ranking = std::vector<std::pair<VertexId, std::uint32_t>>;
-  const std::uint32_t num_chunks = EffectiveChunks(
-      ParallelConfig{num_threads, 0}, graph.num_vertices());
-  std::vector<std::vector<Ranking>> chunks(num_chunks);
   ParallelForChunks(
-      graph.num_vertices(), num_chunks, num_threads,
-      [&](std::uint32_t c, std::uint64_t begin, std::uint64_t end) {
-        std::vector<Ranking>& local = chunks[c];
-        local.resize(num_k);
-        std::vector<std::uint32_t> scores(num_k);
-        for (std::uint64_t v = begin; v < end; ++v) {
-          index.ScoresForThresholds(static_cast<VertexId>(v), thresholds,
-                                    scores.data());
-          for (std::uint32_t i = 0; i < num_k; ++i) {
-            if (scores[i] > 0) {
-              local[i].emplace_back(static_cast<VertexId>(v), scores[i]);
-            }
-          }
+      num_k, EffectiveChunks(ParallelConfig{num_threads, 0}, num_k),
+      num_threads, [&](std::uint32_t, std::uint64_t begin, std::uint64_t end) {
+        std::vector<std::uint32_t> scores(n);
+        for (std::uint64_t i = begin; i < end; ++i) {
+          const auto k = static_cast<std::uint32_t>(i + 2);
+          for (VertexId v = 0; v < n; ++v) scores[v] = index.Score(v, k);
+          rankings_[i] = RankPositiveScores(scores);
         }
       });
-  for (std::vector<Ranking>& local : chunks) {
-    if (local.empty()) continue;
-    for (std::uint32_t i = 0; i < num_k; ++i) {
-      Ranking& ranking = rankings_[thresholds[i] - 2];
-      ranking.insert(ranking.end(), local[i].begin(), local[i].end());
-    }
-  }
-  for (Ranking& ranking : rankings_) {
-    std::sort(ranking.begin(), ranking.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-  }
 }
 
-std::vector<std::pair<VertexId, std::uint32_t>> HybridSearcher::Answers(
-    std::uint32_t r, std::uint32_t k) const {
-  // Answer vertices are read straight from the precomputed ranking; if the
-  // positive-score ranking is shorter than r, pad with zero-score vertices
-  // in id order (matching the library-wide total order).
-  std::vector<std::pair<VertexId, std::uint32_t>> answers;
-  if (k - 2 < rankings_.size()) {
-    const auto& ranking = rankings_[k - 2];
-    for (std::uint32_t i = 0; i < ranking.size() && i < r; ++i) {
-      answers.push_back(ranking[i]);
-    }
-  }
-  if (answers.size() < r) {
-    // Zero-score fill: smallest ids not already present.
-    std::vector<char> present(graph_.num_vertices(), 0);
-    for (const auto& [v, s] : answers) present[v] = 1;
-    for (VertexId v = 0; v < graph_.num_vertices() && answers.size() < r;
-         ++v) {
-      if (!present[v]) answers.emplace_back(v, 0);
-    }
-  }
-  return answers;
+ScoreRanking HybridSearcher::Answers(std::uint32_t r, std::uint32_t k) const {
+  const ScoreRanking none;
+  return RankedAnswers(k - 2 < rankings_.size() ? rankings_[k - 2] : none, r,
+                       graph_.num_vertices(),
+                       [this, k](VertexId v) { return top_tau_[v] >= k; });
 }
 
 TopRResult HybridSearcher::TopR(std::uint32_t r, std::uint32_t k,
@@ -93,8 +50,7 @@ TopRResult HybridSearcher::TopR(std::uint32_t r, std::uint32_t k,
   WallTimer total;
   TopRResult result;
 
-  const std::vector<std::pair<VertexId, std::uint32_t>> answers =
-      Answers(r, k);
+  const ScoreRanking answers = Answers(r, k);
 
   // The dominant cost: online social-context computation (Algorithm 2) for
   // each answer vertex — the paper's motivation for GCT. Winners are
@@ -156,8 +112,8 @@ std::vector<TopRResult> HybridSearcher::SearchBatch(
 }
 
 std::size_t HybridSearcher::SizeBytes() const {
-  std::size_t bytes = 0;
-  for (const auto& ranking : rankings_) {
+  std::size_t bytes = top_tau_.size() * sizeof(top_tau_[0]);
+  for (const ScoreRanking& ranking : rankings_) {
     bytes += ranking.size() * sizeof(ranking[0]);
   }
   return bytes;

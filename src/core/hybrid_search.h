@@ -6,10 +6,10 @@
 // recomputed online with Algorithm 2. Competitive with GCT at r = 1; loses
 // for larger r because the per-winner online context computation dominates.
 //
-// Construction runs as ONE pass over the vertices: each vertex's GCT slice
-// is swept once for all k (GctIndex::ScoresForThresholds), instead of the
-// historical one-full-scan-per-k loop, and the pass parallelizes over
-// contiguous vertex chunks with deterministic (bit-identical) rankings.
+// Construction builds every k's ranking eagerly with the same kernel the
+// GCT-index uses to build its rankings lazily (core/score_ranking.h); the
+// thresholds are independent, so the build parallelizes over them with
+// deterministic (bit-identical) rankings.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 
 #include "core/gct_index.h"
 #include "core/query_session.h"
+#include "core/score_ranking.h"
 #include "core/types.h"
 #include "graph/graph.h"
 
@@ -27,8 +28,8 @@ namespace tsd {
 class HybridSearcher : public DiversitySearcher {
  public:
   /// Precomputes rankings for all k in [2, max ego trussness] from a
-  /// (temporary or shared) GCT index, in one multi-k pass over the vertices
-  /// using `num_threads` workers (rankings are bit-identical at any count).
+  /// (temporary or shared) GCT index, using `num_threads` workers
+  /// (rankings are bit-identical at any count).
   HybridSearcher(const Graph& graph, const GctIndex& index,
                  std::uint32_t num_threads = 1);
 
@@ -46,19 +47,21 @@ class HybridSearcher : public DiversitySearcher {
 
   std::string name() const override { return "Hybrid"; }
 
-  /// Bytes used by the precomputed rankings.
+  /// Bytes used by the precomputed rankings and top-trussness array.
   std::size_t SizeBytes() const;
 
  private:
   /// The (vertex, score) answers of one query, zero-score padded in id
   /// order to min(r, |V|) entries (the library-wide total order).
-  std::vector<std::pair<VertexId, std::uint32_t>> Answers(
-      std::uint32_t r, std::uint32_t k) const;
+  ScoreRanking Answers(std::uint32_t r, std::uint32_t k) const;
 
   const Graph& graph_;
   // rankings_[k - 2]: all vertices with positive score at threshold k,
   // sorted by (score desc, id asc), with their scores.
-  std::vector<std::vector<std::pair<VertexId, std::uint32_t>>> rankings_;
+  std::vector<ScoreRanking> rankings_;
+  // top_tau_[v]: v's largest supernode trussness, so v has a positive
+  // score at k exactly when top_tau_[v] >= k.
+  std::vector<std::uint32_t> top_tau_;
 };
 
 }  // namespace tsd

@@ -17,6 +17,12 @@
 // Concurrency comes from many sessions sharing one searcher, exactly the
 // index-serving shape of the TCF-style systems (one immutable index artifact
 // queried through per-session scratch).
+//
+// One kind of searcher state is filled in at query time: data derived from
+// the index alone, such as GctIndex's per-k rankings (core/score_ranking.h).
+// It belongs to the searcher, not to a session: it is built once, by
+// whichever session first needs it, is thread-safe, and is shared by every
+// session. Results never depend on which session built it or when.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/tsd_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
@@ -11,6 +10,7 @@
 #include "core/batch_query.h"
 #include "core/max_spanning_forest.h"
 #include "core/query_pipeline.h"
+#include "core/score_ranking.h"
 #include "core/top_r_collector.h"
 
 namespace tsd {
@@ -246,11 +246,7 @@ TopRResult TsdIndex::TopR(std::uint32_t r, std::uint32_t k,
     });
   }
 
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return bounds[a] > bounds[b];
-  });
+  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
 
   TopRCollector collector(r);
   {
@@ -289,9 +285,9 @@ std::vector<TopRResult> TsdIndex::SearchBatch(
   // s̃core bound qualified(k)/(k-1) is non-increasing in k, so the bound at
   // the smallest requested k dominates every query's score and the shared
   // ordered scan can stop as soon as every collector can prune. With large
-  // r the scan visits nearly everything anyway and the O(n log n) ordering
-  // would not pay for itself, so the batch falls back to the full range;
-  // entries are bit-identical either way.
+  // r the scan visits nearly everything anyway and the bound pass and
+  // ordering would not pay for themselves, so the batch falls back to the
+  // full range; entries are bit-identical either way.
   const VertexId n = num_vertices();
   const bool ordered = runner.total_r() * 64 <= n;
   auto score_fn = [this, &runner](QueryWorkspace& ws, VertexId v,
@@ -306,11 +302,7 @@ std::vector<TopRResult> TsdIndex::SearchBatch(
     pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
       return ScoreUpperBound(v, k_min);
     });
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0U);
-    std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-      return bounds[a] > bounds[b];
-    });
+    order = OrderByBoundDesc(bounds);
   }
   {
     ScopedTimer t(&stats.score_seconds);

@@ -56,7 +56,8 @@ struct QueryOptions {
 /// Instrumentation reported by every searcher; feeds Tables 2–4 and Fig. 9.
 struct SearchStats {
   /// Number of vertices whose exact structural diversity was computed
-  /// (the paper's "search space").
+  /// (the paper's "search space"). GCT and Hybrid read their answers off a
+  /// per-k ranking; for them it counts the answers read.
   std::uint64_t vertices_scored = 0;
   /// End-to-end query wall time in seconds.
   double total_seconds = 0;

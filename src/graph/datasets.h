@@ -6,7 +6,6 @@
 // here, so each dataset is replaced by a deterministic Holme–Kim power-law-
 // cluster graph whose size and density are matched to the original (scaled
 // down for the largest graphs so the benchmark suite stays laptop-sized).
-// See DESIGN.md §3 for the substitution rationale.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 // depend on — power-law degree distributions, high triangle density, a
 // heavy-tailed edge-trussness distribution, and truss-decomposable
 // ego-networks — are reproduced by the Holme–Kim (power-law cluster) and
-// planted-community generators below. See DESIGN.md §3.
+// planted-community generators below.
 #pragma once
 
 #include <cstdint>

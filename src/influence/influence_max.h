@@ -5,7 +5,7 @@
 // random reverse-reachable (RR) sets under the IC model, then greedily pick
 // the seeds that cover the most sets (a (1-1/e)-approximate max-cover).
 // IMM's adaptive martingale stopping rule is replaced by an explicit sample
-// count, which is all the experiments need (see DESIGN.md §3).
+// count, which is all the experiments need.
 #pragma once
 
 #include <cstdint>
