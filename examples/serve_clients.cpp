@@ -7,14 +7,15 @@
 //  1. Direct sharing — every client thread owns a QuerySession and calls
 //     TopR(r, k, session) on ONE shared const searcher. No locks, no
 //     copies of the index, results bit-identical to serial execution.
-//  2. ServeLoop — clients submit requests through a wait-free MPSC queue
-//     and get futures; a single server thread coalesces whatever is in
-//     flight into amortized SearchBatch calls and enforces per-tenant
-//     limits. Same answers, plus cross-tenant batching.
-//  3. ShardedServeLoop — the same contract over S independent consumer
-//     loops with tenants hashed across them (`tsdtool serve --shards=N`):
-//     S batches dispatch concurrently, each tenant pinned to one shard so
-//     its admission and ordering stay deterministic. Same answers again.
+//  2. ShardedServeLoop with one shard — clients submit requests through a
+//     wait-free MPSC queue and get futures; a single server thread
+//     coalesces whatever is in flight into amortized SearchBatch calls and
+//     enforces per-tenant limits. Same answers, plus cross-tenant batching.
+//  3. ShardedServeLoop with two shards — the same contract over S
+//     independent consumer loops with tenants hashed across them
+//     (`tsdtool serve --shards=N`): S batches dispatch concurrently, each
+//     tenant pinned to one shard so its admission and ordering stay
+//     deterministic. Same answers again.
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "core/query_session.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "server/serve_loop.h"
 #include "server/sharded_serve.h"
 
 int main() {
@@ -56,11 +56,11 @@ int main() {
                     : "no")
             << "\n";
 
-  // --- 2. ServeLoop: futures + request coalescing + per-tenant limits.
-  ServeOptions options;
-  options.max_r = 100;          // reject runaway context requests
-  options.max_queue_depth = 8;  // per-tenant in-flight cap
-  ServeLoop loop(index, options);
+  // --- 2. One shard: futures + request coalescing + per-tenant limits.
+  ShardedServeOptions options;        // num_shards = 1
+  options.shard.max_r = 100;          // reject runaway context requests
+  options.shard.max_queue_depth = 8;  // per-tenant in-flight cap
+  ShardedServeLoop loop(index, options);
   loop.Start();
 
   std::vector<Future<ServeReply>> futures;
@@ -88,7 +88,7 @@ int main() {
             << stats.batches << " coalesced batches (r-limit rejections: "
             << stats.rejected_r_limit << ")\n";
 
-  // --- 3. ShardedServeLoop: two consumer loops, tenants hashed to shards.
+  // --- 3. Two shards: two consumer loops, tenants hashed to shards.
   ShardedServeOptions sharded_options;
   sharded_options.num_shards = 2;
   sharded_options.shard.max_r = 100;
@@ -108,7 +108,7 @@ int main() {
   bool all_match = true;
   for (std::size_t i = 0; i < sharded_futures.size(); ++i) {
     ServeReply reply = sharded_futures[i].Get();
-    // Same (k, r) as the single-consumer loop's tenant streams above:
+    // Same (k, r) as the direct-sharing clients' queries above:
     // replies are a pure function of the request, so shard count is
     // invisible in the answers.
     all_match = all_match && reply.status == ServeStatus::kOk &&

@@ -1,33 +1,17 @@
-// Binary (de)serialization primitives for index persistence and the binary
-// graph format.
-//
-// Two tiers live here:
-//
-//  * Explicit little-endian scalar codecs (EncodeU32Le/DecodeU32Le/...) and
-//    ByteCursor, a bounds-checked error-returning reader over an in-memory
-//    byte range. ByteCursor follows the socket_proto discipline: an on-disk
-//    (or on-wire) length is attacker-controlled input and is NEVER trusted —
-//    every read checks the remaining range first and reports failure by
-//    return value, so a corrupt input is a clean load failure, not a crash
-//    or an over-read. The zero-copy snapshot layer (common/snapshot.h) is
-//    built on this tier.
-//
-//  * The legacy streaming BinaryWriter/BinaryReader (length-prefixed
-//    vectors, magic+version header). These throw tsd::CheckError on
-//    malformed input and remain for the text-adjacent binary graph format
-//    in graph/edge_list_io.h.
+// Binary (de)serialization primitives for the zero-copy snapshot layer
+// (common/snapshot.h): explicit little-endian scalar codecs
+// (EncodeU32Le/DecodeU32Le/...) and ByteCursor, a bounds-checked
+// error-returning reader over an in-memory byte range. ByteCursor follows
+// the socket_proto discipline: an on-disk (or on-wire) length is
+// attacker-controlled input and is NEVER trusted — every read checks the
+// remaining range first and reports failure by return value, so a corrupt
+// input is a clean load failure, not a crash or an over-read.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <span>
-#include <string>
-#include <type_traits>
-#include <vector>
-
-#include "common/check.h"
 
 namespace tsd {
 
@@ -120,90 +104,6 @@ class ByteCursor {
  private:
   std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;
-};
-
-/// Streaming binary writer.
-class BinaryWriter {
- public:
-  explicit BinaryWriter(const std::string& path)
-      : out_(path, std::ios::binary) {
-    TSD_CHECK_MSG(out_.good(), "cannot open file for writing: " << path);
-  }
-
-  template <typename T>
-  void WritePod(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  template <typename T>
-  void WriteVector(const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WritePod<std::uint64_t>(values.size());
-    if (!values.empty()) {
-      out_.write(reinterpret_cast<const char*>(values.data()),
-                 static_cast<std::streamsize>(values.size() * sizeof(T)));
-    }
-  }
-
-  void WriteHeader(std::uint32_t magic, std::uint32_t version) {
-    WritePod(magic);
-    WritePod(version);
-  }
-
-  /// Flushes and verifies stream health.
-  void Finish() {
-    out_.flush();
-    TSD_CHECK_MSG(out_.good(), "write failed");
-  }
-
- private:
-  std::ofstream out_;
-};
-
-/// Streaming binary reader.
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path)
-      : in_(path, std::ios::binary) {
-    TSD_CHECK_MSG(in_.good(), "cannot open file for reading: " << path);
-  }
-
-  template <typename T>
-  T ReadPod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T value{};
-    in_.read(reinterpret_cast<char*>(&value), sizeof(T));
-    TSD_CHECK_MSG(in_.good(), "unexpected end of file");
-    return value;
-  }
-
-  template <typename T>
-  std::vector<T> ReadVector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto count = ReadPod<std::uint64_t>();
-    // Guard against absurd sizes from corrupt files before allocating.
-    TSD_CHECK_MSG(count <= (1ULL << 40) / sizeof(T),
-                  "corrupt file: vector of " << count << " elements");
-    std::vector<T> values(count);
-    if (count > 0) {
-      in_.read(reinterpret_cast<char*>(values.data()),
-               static_cast<std::streamsize>(count * sizeof(T)));
-      TSD_CHECK_MSG(in_.good(), "unexpected end of file");
-    }
-    return values;
-  }
-
-  void ExpectHeader(std::uint32_t magic, std::uint32_t version) {
-    const auto got_magic = ReadPod<std::uint32_t>();
-    TSD_CHECK_MSG(got_magic == magic, "bad magic number");
-    const auto got_version = ReadPod<std::uint32_t>();
-    TSD_CHECK_MSG(got_version == version,
-                  "unsupported version " << got_version);
-  }
-
- private:
-  std::ifstream in_;
 };
 
 }  // namespace tsd

@@ -73,10 +73,9 @@ class BatchQueryRunner {
   /// Bound-ordered variant of Scan (the Algorithm 4 discipline for the
   /// whole batch): `bounds[v]` must upper-bound v's score at EVERY
   /// requested threshold — the bound evaluated at the smallest requested k
-  /// suffices, because both known bound formulas (Lemma 2's min(d/k,
-  /// m_v/C(k,2)) and the TSD forest bound qualified(k)/(k-1)) are
-  /// non-increasing in k, even though scores themselves are not monotone
-  /// (contexts can split as k grows) — and `order` must visit candidates
+  /// suffices, because Lemma 2's min(d/k, m_v/C(k,2)) is non-increasing in
+  /// k, even though scores themselves are not monotone (contexts can split
+  /// as k grows) — and `order` must visit candidates
   /// by non-increasing bound. The scan stops as soon as every
   /// query's collector can prune the remaining range. Entries are
   /// bit-identical to Scan (pruning is conservative per collector); only
@@ -98,7 +97,7 @@ class BatchQueryRunner {
         });
   }
 
-  /// Sum of every query's r — the gate callers use to decide whether the
+  /// Sum of every query's r — the bound search's gate for whether the
   /// bound-ordered scan's bound pass and ordering can pay for themselves.
   std::uint64_t total_r() const {
     std::uint64_t total = 0;

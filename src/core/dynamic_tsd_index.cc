@@ -3,12 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/timer.h"
-#include "core/batch_query.h"
 #include "core/max_spanning_forest.h"
-#include "core/query_pipeline.h"
-#include "core/score_ranking.h"
-#include "core/top_r_collector.h"
 
 namespace tsd {
 
@@ -64,13 +59,22 @@ void DynamicTsdIndex::RebuildVertex(VertexId v) {
   ExtractEgo(v, &maint_ego_);
   maint_decomposer_.ComputeInto(maint_ego_, &maint_trussness_);
 
-  auto* slice = new ForestSlice;
-  slice->universe = graph_.num_vertices();
+  maint_forest_.clear();
   internal::MaximumSpanningForest(
       maint_ego_, maint_trussness_, maint_dsu_,
       [&](VertexId gu, VertexId gv, std::uint32_t w) {
-        slice->edges.push_back(ForestEdge{gu, gv, w});
+        maint_forest_.insert(maint_forest_.end(), {gu, gv, w});
       });
+  // Pack the triples into the slice's u | v | weight layout, sized exactly.
+  auto* slice = new ForestSlice;
+  slice->universe = graph_.num_vertices();
+  const std::size_t m = maint_forest_.size() / 3;
+  slice->packed.resize(3 * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t field = 0; field < 3; ++field) {
+      slice->packed[field * m + i] = maint_forest_[3 * i + field];
+    }
+  }
 
   // Publish the fresh slice; the displaced one stays readable until its
   // grace period passes. Serialized with all other writer-side calls by the
@@ -149,214 +153,41 @@ VertexId DynamicTsdIndex::AddVertex() {
   return v;
 }
 
-std::uint32_t DynamicTsdIndex::ScoreIn(const ForestView& view, VertexId v,
-                                       std::uint32_t k,
-                                       IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  // The forest property gives score = |endpoints| - |edges| over the
-  // weight-≥k prefix. Dense scratch sized by the slice's own universe (see
-  // the ForestSlice comment — the view's count can be stale relative to a
-  // freshly swapped slice).
-  scratch.ids.Begin(slice.universe);
-  std::uint32_t edges = 0;
-  for (const ForestEdge& e : slice.edges) {
-    if (e.weight < k) break;  // sorted descending
-    ++edges;
-    scratch.ids.Insert(e.u);
-    scratch.ids.Insert(e.v);
-  }
-  return scratch.ids.size() - edges;
-}
-
-ScoreResult DynamicTsdIndex::ScoreWithContextsIn(
-    const ForestView& view, VertexId v, std::uint32_t k,
-    IndexQueryScratch& scratch) const {
-  TSD_CHECK(k >= 2);
-  TSD_CHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-
-  // Map touched global endpoints to dense local ids (same kernel as
-  // TsdIndex::ScoreWithContexts, over the maintained slice).
-  scratch.ids.Begin(slice.universe);
-  std::size_t qualified = 0;
-  for (const ForestEdge& e : slice.edges) {
-    if (e.weight < k) break;
-    scratch.ids.Insert(e.u);
-    scratch.ids.Insert(e.v);
-    ++qualified;
-  }
-  const std::vector<VertexId>& global = scratch.ids.keys();
-
-  scratch.dsu.Reset(global.size());
-  for (std::size_t i = 0; i < qualified; ++i) {
-    scratch.dsu.Union(scratch.ids.Insert(slice.edges[i].u),
-                      scratch.ids.Insert(slice.edges[i].v));
-  }
-
-  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
-  scratch.slots.assign(global.size(), kNoSlot);
-  ScoreResult result;
-  for (std::uint32_t i = 0; i < global.size(); ++i) {
-    const std::uint32_t root = scratch.dsu.Find(i);
-    if (scratch.slots[root] == kNoSlot) {
-      scratch.slots[root] = static_cast<std::uint32_t>(result.contexts.size());
-      result.contexts.emplace_back();
-    }
-    result.contexts[scratch.slots[root]].push_back(global[i]);
-  }
-  result.score = static_cast<std::uint32_t>(result.contexts.size());
-  for (SocialContext& context : result.contexts) {
-    std::sort(context.begin(), context.end());
-  }
-  std::sort(result.contexts.begin(), result.contexts.end(),
-            [](const SocialContext& a, const SocialContext& b) {
-              return a.front() < b.front();
-            });
-  return result;
-}
-
-std::uint32_t DynamicTsdIndex::ScoreUpperBoundIn(const ForestView& view,
-                                                 VertexId v,
-                                                 std::uint32_t k) const {
-  TSD_DCHECK(k >= 2);
-  TSD_DCHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  const auto it = std::partition_point(
-      slice.edges.begin(), slice.edges.end(),
-      [k](const ForestEdge& e) { return e.weight >= k; });
-  return static_cast<std::uint32_t>(it - slice.edges.begin()) / (k - 1);
-}
-
-void DynamicTsdIndex::ScoresForThresholdsIn(
-    const ForestView& view, VertexId v,
-    std::span<const std::uint32_t> thresholds, IndexQueryScratch& scratch,
-    std::uint32_t* scores) const {
-  TSD_DCHECK(v < view.num_vertices);
-  const ForestSlice& slice = SliceOf(view, v);
-  // Weights are sorted descending, so the qualified prefix only grows as
-  // the threshold drops: one sweep serves every k (same discipline as
-  // TsdIndex::ScoresForThresholds, over the maintained forest slice).
-  scratch.ids.Begin(slice.universe);
-  std::size_t i = 0;
-  std::uint32_t qualified = 0;
-  for (std::size_t t = 0; t < thresholds.size(); ++t) {
-    const std::uint32_t k = thresholds[t];
-    TSD_DCHECK(t == 0 || thresholds[t - 1] > k);
-    while (i < slice.edges.size() && slice.edges[i].weight >= k) {
-      ++qualified;
-      scratch.ids.Insert(slice.edges[i].u);
-      scratch.ids.Insert(slice.edges[i].v);
-      ++i;
-    }
-    scores[t] = scratch.ids.size() - qualified;
-  }
-}
-
 std::uint32_t DynamicTsdIndex::Score(VertexId v, std::uint32_t k,
                                      IndexQueryScratch& scratch) const {
   EpochGuard guard(epochs_);
-  return ScoreIn(CurrentView(), v, k, scratch);
+  return forest::Score(SliceOf(CurrentView(), v), k, scratch);
 }
 
 ScoreResult DynamicTsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
                                                IndexQueryScratch& scratch) const {
   EpochGuard guard(epochs_);
-  return ScoreWithContextsIn(CurrentView(), v, k, scratch);
+  return forest::ScoreWithContexts(SliceOf(CurrentView(), v), k, scratch);
 }
 
 std::uint32_t DynamicTsdIndex::ScoreUpperBound(VertexId v,
                                                std::uint32_t k) const {
   EpochGuard guard(epochs_);
-  return ScoreUpperBoundIn(CurrentView(), v, k);
+  return forest::ScoreUpperBound(SliceOf(CurrentView(), v), k);
 }
 
-void DynamicTsdIndex::ScoresForThresholds(
-    VertexId v, std::span<const std::uint32_t> thresholds,
-    IndexQueryScratch& scratch, std::uint32_t* scores) const {
-  EpochGuard guard(epochs_);
-  ScoresForThresholdsIn(CurrentView(), v, thresholds, scratch, scores);
-}
-
+// One pin brackets a whole query or batch; the pipeline workers the drivers
+// fork run inside it (fork/join is the happens-before bracket), so every
+// kernel call reads through this one pinned view.
 TopRResult DynamicTsdIndex::TopR(std::uint32_t r, std::uint32_t k,
                                  QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-
-  // One pin brackets the whole query; the pipeline workers it forks run
-  // inside it (fork/join is the happens-before bracket), so every kernel
-  // call below reads through this one pinned view.
   EpochGuard guard(epochs_);
   const ForestView& view = CurrentView();
-  const VertexId n = view.num_vertices;
-
-  // Index-only pipeline, like the frozen TsdIndex.
-  QueryPipeline& pipeline = session.IndexPipeline();
-  std::vector<std::uint32_t> bounds;
-  pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-    return ScoreUpperBoundIn(view, v, k);
-  });
-  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
-
-  TopRCollector collector(r);
-  result.stats.vertices_scored =
-      pipeline.ScoreOrdered(order, bounds, &collector,
-                            [&](QueryWorkspace& ws, VertexId v) {
-                              return ScoreIn(view, v, k, ws.index_scratch());
-                            });
-  pipeline.MaterializeEntries(
-      collector.Ranked(), &result.entries, [&](QueryWorkspace& ws, VertexId v) {
-        return ScoreWithContextsIn(view, v, k, ws.index_scratch()).contexts;
-      });
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
+  return ForestTopR(r, k, view.num_vertices, session,
+                    [&view](VertexId v) { return SliceOf(view, v); });
 }
 
 std::vector<TopRResult> DynamicTsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
-  WallTimer total;
-  std::vector<TopRResult> results(queries.size());
-  if (queries.empty()) return results;
-  SearchStats stats;
-  BatchQueryRunner runner(queries);
-  QueryPipeline& pipeline = session.IndexPipeline();
-
-  // One pin brackets the whole batch (cf. TopR above).
   EpochGuard guard(epochs_);
   const ForestView& view = CurrentView();
-
-  // One forest-slice sweep per vertex answers every threshold (the TSD
-  // multi-k discipline over the dynamic forest slices); with exact multi-k
-  // scores this cheap, the bound ordering would not pay, so the batch path
-  // scans the full range.
-  {
-    ScopedTimer t(&stats.score_seconds);
-    stats.vertices_scored = runner.Scan(
-        pipeline, view.num_vertices,
-        [this, &runner, &view](QueryWorkspace& ws, VertexId v,
-                               std::uint32_t* out) {
-          ScoresForThresholdsIn(view, v, runner.thresholds(),
-                                ws.index_scratch(), out);
-        });
-  }
-
-  {
-    ScopedTimer t(&stats.context_seconds);
-    runner.MaterializeGrouped(
-        pipeline, &results, [](QueryWorkspace&, VertexId) {},
-        [this, &view](QueryWorkspace& ws, VertexId v, std::uint32_t k) {
-          return ScoreWithContextsIn(view, v, k, ws.index_scratch()).contexts;
-        });
-  }
-
-  stats.threads_used = pipeline.num_threads();
-  stats.total_seconds = total.Seconds();
-  FillBatchStats(&results, stats);
-  return results;
+  return ForestSearchBatch(queries, view.num_vertices, session,
+                           [&view](VertexId v) { return SliceOf(view, v); });
 }
 
 TsdIndex DynamicTsdIndex::Freeze() const {
@@ -369,11 +200,13 @@ TsdIndex DynamicTsdIndex::Freeze() const {
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
   for (VertexId v = 0; v < n; ++v) {
-    for (const ForestEdge& e : SliceOf(view, v).edges) {
-      edge_u.push_back(e.u);
-      edge_v.push_back(e.v);
-      weight.push_back(e.weight);
-      index.max_weight_ = std::max(index.max_weight_, e.weight);
+    const ForestSliceView slice = SliceOf(view, v);
+    edge_u.insert(edge_u.end(), slice.u.begin(), slice.u.end());
+    edge_v.insert(edge_v.end(), slice.v.begin(), slice.v.end());
+    weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
+    // Weights are sorted descending, so the first is the slice's maximum.
+    if (!slice.weight.empty()) {
+      index.max_weight_ = std::max(index.max_weight_, slice.weight.front());
     }
     offsets[v + 1] = edge_u.size();
   }

@@ -43,10 +43,12 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/epoch.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "core/forest_slice.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
 #include "core/scoring.h"
@@ -85,9 +87,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   /// Appends an isolated vertex.
   VertexId AddVertex();
 
-  /// Structural diversity score of v at threshold k. The scratch overload
-  /// is allocation-free in the steady state (mirrors TsdIndex); the
-  /// convenience overload allocates a throwaway scratch per call.
+  /// Per-vertex kernels of core/forest_slice.h over v's current slice, each
+  /// under its own epoch pin. The scratch overloads are allocation-free in
+  /// the steady state; the convenience overloads allocate a throwaway
+  /// scratch per call.
   std::uint32_t Score(VertexId v, std::uint32_t k,
                       IndexQueryScratch& scratch) const;
   std::uint32_t Score(VertexId v, std::uint32_t k) const {
@@ -105,23 +108,13 @@ class DynamicTsdIndex : public DiversitySearcher {
 
   std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
 
-  /// Scores v at every threshold of `thresholds` (strictly descending) in
-  /// one sweep over the vertex's forest slice — the same multi-k kernel as
-  /// the frozen TsdIndex, over the maintained per-vertex forests.
-  void ScoresForThresholds(VertexId v,
-                           std::span<const std::uint32_t> thresholds,
-                           IndexQueryScratch& scratch,
-                           std::uint32_t* scores) const;
-
   using DiversitySearcher::SearchBatch;
   using DiversitySearcher::TopR;
 
+  /// TopR and SearchBatch pin one epoch and run the drivers of
+  /// core/forest_slice.h (the same ones TsdIndex runs) over the pinned view.
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
-
-  /// Amortized batch path (mirrors TsdIndex::SearchBatch): one forest-slice
-  /// sweep per vertex scores every requested threshold, winners grouped by
-  /// vertex for the context phase. Bit-identical to per-query TopR.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -147,13 +140,9 @@ class DynamicTsdIndex : public DiversitySearcher {
   TsdIndex Freeze() const;
 
  private:
-  struct ForestEdge {
-    VertexId u;
-    VertexId v;
-    std::uint32_t weight;
-  };
-
-  /// One vertex's maximum-spanning-forest, immutable once published.
+  /// One vertex's maximum-spanning-forest, immutable once published. The
+  /// u, v and weight arrays share one allocation, so a slice costs the
+  /// same number of allocations as a single vector.
   /// `universe` is the vertex-count at build time: endpoint ids are all
   /// < universe, and query kernels size their dense scratch maps from it —
   /// NOT from the view's vertex count, because a reader holding an older
@@ -161,7 +150,13 @@ class DynamicTsdIndex : public DiversitySearcher {
   /// old view's range (slices and the view are published independently).
   struct ForestSlice {
     VertexId universe = 0;
-    std::vector<ForestEdge> edges;  // sorted by weight descending
+    std::vector<std::uint32_t> packed;  // u[0..m) | v[0..m) | weight[0..m)
+
+    ForestSliceView view() const {
+      const std::size_t m = packed.size() / 3;
+      const std::span<const std::uint32_t> all(packed);
+      return {universe, all.first(m), all.subspan(m, m), all.subspan(2 * m)};
+    }
   };
 
   /// Atomic pointer array from vertex id to its current slice. Grown (as a
@@ -187,24 +182,10 @@ class DynamicTsdIndex : public DiversitySearcher {
     return *view_.load(std::memory_order_acquire);
   }
 
-  static const ForestSlice& SliceOf(const ForestView& view, VertexId v) {
-    return *view.table->slots[v].load(std::memory_order_acquire);
+  static ForestSliceView SliceOf(const ForestView& view, VertexId v) {
+    TSD_CHECK(v < view.num_vertices);
+    return view.table->slots[v].load(std::memory_order_acquire)->view();
   }
-
-  // Unpinned query kernels: the public entry points pin once and delegate
-  // here (pipeline workers run inside the caller's pin — the fork/join is
-  // the happens-before bracket).
-  std::uint32_t ScoreIn(const ForestView& view, VertexId v, std::uint32_t k,
-                        IndexQueryScratch& scratch) const;
-  ScoreResult ScoreWithContextsIn(const ForestView& view, VertexId v,
-                                  std::uint32_t k,
-                                  IndexQueryScratch& scratch) const;
-  std::uint32_t ScoreUpperBoundIn(const ForestView& view, VertexId v,
-                                  std::uint32_t k) const;
-  void ScoresForThresholdsIn(const ForestView& view, VertexId v,
-                             std::span<const std::uint32_t> thresholds,
-                             IndexQueryScratch& scratch,
-                             std::uint32_t* scores) const;
 
   // Update internals (serialized-updater side).
   void RebuildVertex(VertexId v) TSD_REQUIRES(updater_role_);
@@ -231,6 +212,8 @@ class DynamicTsdIndex : public DiversitySearcher {
   EgoTrussDecomposer maint_decomposer_ TSD_GUARDED_BY(updater_role_);
   std::vector<std::uint32_t> maint_trussness_ TSD_GUARDED_BY(updater_role_);
   DisjointSet maint_dsu_ TSD_GUARDED_BY(updater_role_);
+  // Forest edges as (u, v, weight) triples, before packing into a slice.
+  std::vector<std::uint32_t> maint_forest_ TSD_GUARDED_BY(updater_role_);
 };
 
 }  // namespace tsd

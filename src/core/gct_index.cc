@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/parallel.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/query_pipeline.h"

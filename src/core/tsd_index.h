@@ -13,6 +13,8 @@
 //   s̃core(v)     — ⌊(#forest edges of weight ≥ k) / (k-1)⌋, the TSD upper
 //                   bound used for top-r pruning (Section 5.2).
 //   TopR(r, k)    — bound-ordered scan with early termination.
+// The kernels and both query drivers live in core/forest_slice.h, shared
+// with DynamicTsdIndex; this class stores the slices flattened.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 
 #include "common/mmap_file.h"
 #include "common/snapshot.h"
+#include "core/forest_slice.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
 #include "core/scoring.h"
@@ -76,13 +79,6 @@ class TsdIndex : public DiversitySearcher {
     return ScoreWithContexts(v, k, scratch);
   }
 
-  /// Scores v at every threshold of `thresholds` (strictly descending) in
-  /// one sweep over the forest slice — the batch-query kernel.
-  void ScoresForThresholds(VertexId v,
-                           std::span<const std::uint32_t> thresholds,
-                           IndexQueryScratch& scratch,
-                           std::uint32_t* scores) const;
-
   /// The s̃core(v) upper bound (Section 5.2). Always ≥ Score(v, k).
   std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
 
@@ -95,7 +91,8 @@ class TsdIndex : public DiversitySearcher {
                   QuerySession& session) const override;
 
   /// Amortized batch path: one forest-slice sweep per vertex scores every
-  /// requested threshold (bit-identical to per-query TopR).
+  /// requested threshold over the full vertex range (bit-identical to
+  /// per-query TopR).
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -139,6 +136,9 @@ class TsdIndex : public DiversitySearcher {
 
  private:
   friend class DynamicTsdIndex;
+
+  /// v's forest slice as a view into the flat arrays (checks v's range).
+  ForestSliceView Slice(VertexId v) const;
 
   // Per-vertex forest edges, flattened; each vertex's slice is sorted by
   // weight descending. Endpoints are global vertex ids.

@@ -5,13 +5,9 @@
 #include <fstream>
 
 #include "common/check.h"
-#include "common/serialize.h"
 
 namespace tsd {
 namespace {
-
-constexpr std::uint32_t kGraphMagic = 0x47445354;  // "TSDG"
-constexpr std::uint32_t kGraphVersion = 1;
 
 const char* SkipSpace(const char* p) {
   while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
@@ -71,28 +67,6 @@ void SaveEdgeListText(const Graph& graph, const std::string& path) {
   }
   out.flush();
   TSD_CHECK_MSG(out.good(), "write failed: " << path);
-}
-
-void SaveGraphBinary(const Graph& graph, const std::string& path) {
-  BinaryWriter writer(path);
-  writer.WriteHeader(kGraphMagic, kGraphVersion);
-  writer.WritePod<std::uint64_t>(graph.num_vertices());
-  const auto edge_span = graph.edges();
-  std::vector<Edge> edges(edge_span.begin(), edge_span.end());
-  writer.WriteVector(edges);
-  writer.Finish();
-}
-
-Graph LoadGraphBinary(const std::string& path) {
-  BinaryReader reader(path);
-  reader.ExpectHeader(kGraphMagic, kGraphVersion);
-  const auto n = reader.ReadPod<std::uint64_t>();
-  TSD_CHECK_MSG(n <= kInvalidVertex, "corrupt graph file: vertex count");
-  const auto edges = reader.ReadVector<Edge>();
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(edges.size());
-  for (const Edge& e : edges) pairs.emplace_back(e.u, e.v);
-  return Graph::FromEdges(std::move(pairs), static_cast<VertexId>(n));
 }
 
 }  // namespace tsd

@@ -1,8 +1,8 @@
 // Edge-list file formats.
 //
 // Text format is SNAP-compatible: one "u v" pair per line, '#' comment lines
-// ignored, arbitrary whitespace. Binary format is a fast little-endian dump
-// for large graphs (magic "TSDG").
+// ignored, arbitrary whitespace. For fast loading, save the graph into a
+// snapshot instead (Graph::AppendToSnapshot, common/snapshot.h).
 #pragma once
 
 #include <string>
@@ -21,10 +21,5 @@ Graph LoadEdgeListText(const std::string& path);
 
 /// Writes "u v" lines with a comment header.
 void SaveEdgeListText(const Graph& graph, const std::string& path);
-
-/// Binary dump of the edge list (much faster than text for multi-million
-/// edge graphs).
-void SaveGraphBinary(const Graph& graph, const std::string& path);
-Graph LoadGraphBinary(const std::string& path);
 
 }  // namespace tsd

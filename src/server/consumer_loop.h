@@ -1,12 +1,12 @@
-// The per-consumer serving machinery shared by ServeLoop (one consumer) and
-// ShardedServeLoop (one consumer per shard).
+// The per-consumer serving machinery of ShardedServeLoop (one consumer per
+// shard).
 //
 // A ConsumerLoop is one complete shard: its own wait-free Vyukov MPSC
 // submission queue, its own QuerySession (all query scratch, touched only
 // by its consumer thread), its own coalescing SearchBatch dispatch, its own
 // admission state (per-tenant depth table + counters), and its own drain /
-// shutdown protocol. The single-consumer ServeLoop wraps exactly one of
-// these; the sharded loop routes tenants across S of them by hash. Keeping
+// shutdown protocol. The sharded loop routes tenants across S of these by
+// hash; with S = 1 it is a single-consumer server. Keeping
 // every piece of mutable state shard-local is what makes S-way serving a
 // pure replication of the 1-way case — no cross-shard locks, no shared
 // sessions, and the PR 4 contracts (deterministic admission, replies that

@@ -1,11 +1,10 @@
 // Shared request/reply/option/stat types of the serving layer, plus the
 // ServeSubmitter interface the protocol front-ends are written against.
 //
-// Both serving loops — the single-consumer ServeLoop and the sharded
-// multi-consumer ShardedServeLoop — speak exactly this vocabulary, which is
-// what lets one stdin-proto driver (and one CI byte-identity harness) run
-// over either: a reply is a pure function of its request, so which loop
-// shape produced it is invisible in the bytes.
+// ShardedServeLoop speaks exactly this vocabulary at every shard count,
+// which is what lets one stdin-proto driver (and one CI byte-identity
+// harness) run over any of them: a reply is a pure function of its
+// request, so the shard count that produced it is invisible in the bytes.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +70,9 @@ struct ServeStats {
   ServeStats& operator+=(const ServeStats& other);
 };
 
-/// The submission surface shared by ServeLoop and ShardedServeLoop. The
-/// stdin protocol (and any future socket transport) drives this interface,
-/// so transports are written once and run over any loop shape.
+/// The submission surface of ShardedServeLoop. The stdin protocol and the
+/// socket transport drive this interface, so transports are written once
+/// and run at any shard count.
 class ServeSubmitter {
  public:
   virtual ~ServeSubmitter();

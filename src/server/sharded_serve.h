@@ -1,9 +1,9 @@
 // Sharded multi-consumer serving loop: inter-batch parallelism for
 // workloads with many tiny queries.
 //
-// The single-consumer ServeLoop dispatches one coalesced batch at a time —
-// intra-batch parallelism comes from the session's pipeline threads, but
-// the dispatch itself is serial. ShardedServeLoop replicates the consumer
+// A single consumer dispatches one coalesced batch at a time — intra-batch
+// parallelism comes from the session's pipeline threads, but the dispatch
+// itself is serial. ShardedServeLoop replicates the consumer
 // machinery S ways: each shard is a complete internal::ConsumerLoop (its
 // own wait-free MPSC queue, its own QuerySession, its own coalescing
 // SearchBatch dispatch, its own admission state) over the one shared

@@ -8,9 +8,9 @@
 // pattern as the stdin driver, but poll-free: each future carries an
 // OnReady hook that writes to an eventfd the loop sleeps on, so reply
 // latency is bounded by a wakeup, not a poll interval. The transport is
-// loop-shape-agnostic: it drives the ServeSubmitter interface, so the same
-// server runs over ServeLoop or ShardedServeLoop, and replies stay a pure
-// function of their requests — a socket transcript is byte-identical to a
+// shard-count-agnostic: it drives the ServeSubmitter interface, so the same
+// server runs over ShardedServeLoop at any shard count, and replies stay a
+// pure function of their requests — a socket transcript is byte-identical to a
 // stdin transcript for the same request stream (CI compares them).
 //
 // Isolation contracts:

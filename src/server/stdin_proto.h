@@ -21,9 +21,9 @@
 // counter as queries.
 //
 // The driver runs over the ServeSubmitter interface, so the same transcript
-// machinery serves the single-consumer ServeLoop and the sharded
-// ShardedServeLoop. With shards, replies *complete* out of submission order
-// (each shard drains its own queue at its own pace); a sequencing reorder
+// machinery serves ShardedServeLoop at any shard count. With several
+// shards, replies *complete* out of submission order (each shard drains
+// its own queue at its own pace); a sequencing reorder
 // buffer over the futures restores emission order: replies are harvested
 // from whichever shard finishes first but always printed in ascending
 // submission id. Since each reply is bit-identical to a serial TopR of the

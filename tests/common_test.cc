@@ -1,12 +1,11 @@
 // Unit tests for src/common: bitmap, disjoint set, bucket queue, rng,
-// strings, table printer, flags, serialization, check macros, and the
-// serving substrate (MPSC queue + future/promise).
+// strings, table printer, flags, check macros, and the serving substrate
+// (MPSC queue + future/promise).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -25,7 +24,6 @@
 #include "common/future.h"
 #include "common/mpsc_queue.h"
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/strings.h"
 #include "common/table.h"
 
@@ -364,52 +362,6 @@ TEST(FlagsTest, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--k=abc"};
   Flags flags(2, const_cast<char**>(argv));
   EXPECT_THROW(flags.GetInt("k", 0), CheckError);
-}
-
-// ---------------------------------------------------------------- Serialize
-
-TEST(SerializeTest, RoundTripsPodsAndVectors) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsd_serialize_test.bin")
-          .string();
-  {
-    BinaryWriter w(path);
-    w.WriteHeader(0xABCD1234, 3);
-    w.WritePod<std::uint64_t>(77);
-    w.WriteVector(std::vector<std::uint32_t>{1, 2, 3});
-    w.WriteVector(std::vector<std::uint32_t>{});
-    w.Finish();
-  }
-  {
-    BinaryReader r(path);
-    r.ExpectHeader(0xABCD1234, 3);
-    EXPECT_EQ(r.ReadPod<std::uint64_t>(), 77u);
-    EXPECT_EQ(r.ReadVector<std::uint32_t>(),
-              (std::vector<std::uint32_t>{1, 2, 3}));
-    EXPECT_TRUE(r.ReadVector<std::uint32_t>().empty());
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(SerializeTest, RejectsBadMagicAndTruncation) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tsd_serialize_bad.bin")
-          .string();
-  {
-    BinaryWriter w(path);
-    w.WriteHeader(0x11111111, 1);
-    w.Finish();
-  }
-  {
-    BinaryReader r(path);
-    EXPECT_THROW(r.ExpectHeader(0x22222222, 1), CheckError);
-  }
-  {
-    BinaryReader r(path);
-    r.ExpectHeader(0x11111111, 1);
-    EXPECT_THROW(r.ReadPod<std::uint64_t>(), CheckError);  // truncated
-  }
-  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------- MpscQueue

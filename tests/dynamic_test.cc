@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dynamic_tsd_index.h"
@@ -15,6 +17,7 @@
 #include "core/tsd_index.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "serve_test_util.h"
 
 namespace tsd {
 namespace {
@@ -191,6 +194,80 @@ TEST(DynamicTsdIndexTest, AddVertexThenConnect) {
   for (VertexId x = 1; x <= 4; ++x) dynamic.InsertEdge(nv, x);
   ExpectMatchesFreshBuild(dynamic);
   EXPECT_EQ(dynamic.Score(nv, 4), 1u);
+}
+
+TEST(DynamicTsdIndexTest, TopRReportsPhaseTimings) {
+  Graph g = HolmeKim(300, 5, 0.6, 37);
+  DynamicTsdIndex dynamic(g);
+  const TsdIndex frozen = dynamic.Freeze();
+  QuerySession session;
+  const TopRResult result = dynamic.TopR(5, 3, session);
+  EXPECT_GT(result.stats.preprocess_seconds, 0.0);
+  EXPECT_GT(result.stats.score_seconds, 0.0);
+  EXPECT_GT(result.stats.context_seconds, 0.0);
+  EXPECT_EQ(result.stats.vertices_scored,
+            frozen.TopR(5, 3, session).stats.vertices_scored);
+}
+
+// The dynamic index and its Freeze() run the same forest-slice drivers, so
+// they must agree on entries AND on how many vertices each scan scored. The
+// batch is small (total r * 64 <= n), the regime where a bound-ordered
+// batch scan would stop early.
+void ExpectSameAsFrozen(const DynamicTsdIndex& dynamic,
+                        const std::string& label) {
+  const TsdIndex frozen = dynamic.Freeze();
+  const std::vector<BatchQuery> queries = {
+      {3, 5}, {4, 10}, {5, 3}, {2, 1}, {6, 4}};
+  std::uint64_t total_r = 0;
+  for (const BatchQuery& q : queries) total_r += q.r;
+  ASSERT_LE(total_r * 64, frozen.num_vertices());
+  for (std::uint32_t threads : {1u, 2u, 8u}) {
+    QueryOptions options;
+    options.num_threads = threads;
+    QuerySession session(options);
+    const std::string where = label + " threads=" + std::to_string(threads);
+    for (const BatchQuery& q : queries) {
+      const TopRResult expected = frozen.TopR(q.r, q.k, session);
+      const TopRResult actual = dynamic.TopR(q.r, q.k, session);
+      test::ExpectSameEntries(expected, actual,
+                              where + " TopR k=" + std::to_string(q.k));
+      EXPECT_EQ(actual.stats.vertices_scored, expected.stats.vertices_scored)
+          << where << " TopR k=" << q.k;
+    }
+    const std::vector<TopRResult> expected =
+        frozen.SearchBatch(queries, session);
+    const std::vector<TopRResult> actual =
+        dynamic.SearchBatch(queries, session);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      test::ExpectSameEntries(expected[i], actual[i],
+                              where + " batch q=" + std::to_string(i));
+      EXPECT_EQ(actual[i].stats.vertices_scored,
+                expected[i].stats.vertices_scored)
+          << where << " batch q=" << i;
+    }
+  }
+}
+
+TEST(DynamicFrozenDifferentialTest, OneDriverBeforeAndAfterUpdates) {
+  constexpr VertexId kN = 2000;
+  Graph g = HolmeKim(kN, 5, 0.6, 41);
+  DynamicTsdIndex dynamic(g);
+  ExpectSameAsFrozen(dynamic, "initial");
+  Rng rng(43);
+  for (int step = 0; step < 40; ++step) {
+    const auto u = static_cast<VertexId>(rng.Uniform(kN));
+    const auto v = static_cast<VertexId>(rng.Uniform(kN));
+    if (u == v) continue;
+    if (dynamic.graph().HasEdge(u, v)) {
+      dynamic.RemoveEdge(u, v);
+    } else {
+      dynamic.InsertEdge(u, v);
+    }
+  }
+  // Densify one neighborhood so the updates reach the top of the ranking.
+  for (VertexId w = 1; w <= 12; ++w) dynamic.InsertEdge(0, w);
+  ExpectSameAsFrozen(dynamic, "after updates");
 }
 
 // ------------------------------------------------------------ Parallel

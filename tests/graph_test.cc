@@ -7,6 +7,7 @@
 #include <random>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
 
@@ -202,14 +203,25 @@ TEST_F(EdgeListIoTest, MissingFileThrows) {
                CheckError);
 }
 
-TEST_F(EdgeListIoTest, BinaryRoundTripPreservesIsolatedVertices) {
+TEST_F(EdgeListIoTest, SnapshotRoundTripPreservesTrailingIsolatedVertices) {
+  // Unlike the text format, a snapshot carries the vertex count, so
+  // vertices 6..8 (no edges, after the last endpoint) survive.
   Graph g = Graph::FromEdges({{0, 1}, {1, 2}, {4, 5}}, 9);
-  const std::string path = TempPath("tsd_graph_io.bin");
-  SaveGraphBinary(g, path);
-  Graph loaded = LoadGraphBinary(path);
+  const std::string path = TempPath("tsd_graph_io.snap");
+  {
+    SnapshotWriter writer(path);
+    g.AppendToSnapshot(writer);
+    writer.Finish();
+  }
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+  Graph loaded;
+  ASSERT_TRUE(Graph::LoadFromSnapshot(reader, &loaded, &error)) << error;
   EXPECT_EQ(loaded.num_vertices(), 9u);
   EXPECT_EQ(loaded.num_edges(), 3u);
   for (const Edge& e : g.edges()) EXPECT_TRUE(loaded.HasEdge(e.u, e.v));
+  for (VertexId v = 6; v < 9; ++v) EXPECT_EQ(loaded.degree(v), 0u);
   std::filesystem::remove(path);
 }
 

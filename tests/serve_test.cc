@@ -1,11 +1,12 @@
 // Concurrent-serving suite for the shared-immutable searcher contract and
-// the ServeLoop coalescing layer.
+// the coalescing serving layer (ShardedServeLoop; one shard unless a test
+// says otherwise).
 //
 //  * N client threads query ONE shared searcher instance, each through its
 //    own QuerySession — results must be bit-identical to serial execution.
 //    Runs under the existing TSan CI job, so any hidden searcher mutation
 //    shows up as a data race, not just a wrong score.
-//  * ServeLoop: replies (through MPSC submission, coalesced batches, and
+//  * One shard: replies (through MPSC submission, coalesced batches, and
 //    futures) equal serial TopR; admission control rejects deterministically;
 //    requests queued before Start() coalesce into one batch.
 //  * The stdin line protocol produces byte-identical transcripts at 1 and 4
@@ -29,7 +30,6 @@
 #include "core/tsd_index.h"
 #include "graph/generators.h"
 #include "serve_test_util.h"
-#include "server/serve_loop.h"
 #include "server/sharded_serve.h"
 #include "server/stdin_proto.h"
 
@@ -164,13 +164,13 @@ TEST(SharedSearcherTest, DefaultSessionMatchesExplicitSession) {
   }
 }
 
-TEST(ServeLoopTest, RepliesMatchSerialTopR) {
+TEST(OneShardServeTest, RepliesMatchSerialTopR) {
   const Graph g = HolmeKim(200, 5, 0.6, 31);
   const GctIndex gct = GctIndex::Build(g);
   const std::vector<BatchQuery> queries = TestQueries();
   const std::vector<TopRResult> reference = SerialReference(gct, queries);
 
-  ServeLoop loop(gct);
+  ShardedServeLoop loop(gct);
   loop.Start();
   std::vector<Future<ServeReply>> futures;
   for (const BatchQuery& q : queries) {
@@ -188,7 +188,7 @@ TEST(ServeLoopTest, RepliesMatchSerialTopR) {
   EXPECT_EQ(stats.served, queries.size());
 }
 
-TEST(ServeLoopTest, ConcurrentClientsGetSerialAnswers) {
+TEST(OneShardServeTest, ConcurrentClientsGetSerialAnswers) {
   const Graph g = HolmeKim(200, 5, 0.6, 32);
   const GctIndex gct = GctIndex::Build(g);
   const std::vector<BatchQuery> queries = TestQueries();
@@ -196,7 +196,7 @@ TEST(ServeLoopTest, ConcurrentClientsGetSerialAnswers) {
 
   ServeOptions options;
   options.max_batch = 5;  // force several coalesced batches under load
-  ServeLoop loop(gct, options);
+  ShardedServeLoop loop(gct, {.shard = options});
   loop.Start();
 
   constexpr std::uint32_t kClients = 4;
@@ -255,12 +255,12 @@ TEST(ServeLoopTest, ConcurrentClientsGetSerialAnswers) {
 // re-checks it and Shutdown()'s join() hangs. Hammer both rejection flavors
 // (queue-depth while serving, shutdown-rejection while draining) from
 // several threads racing Shutdown(); the test completing is the assertion.
-TEST(ServeLoopTest, RejectionsRacingShutdownDoNotDeadlock) {
+TEST(OneShardServeTest, RejectionsRacingShutdownDoNotDeadlock) {
   const Graph g = HolmeKim(120, 4, 0.5, 33);
   const GctIndex gct = GctIndex::Build(g);
   ServeOptions options;
   options.max_queue_depth = 1;  // every concurrent same-tenant burst rejects
-  ServeLoop loop(gct, options);
+  ShardedServeLoop loop(gct, {.shard = options});
   loop.Start();
 
   constexpr std::uint32_t kClients = 4;
@@ -293,10 +293,10 @@ TEST(ServeLoopTest, RejectionsRacingShutdownDoNotDeadlock) {
 }
 
 // Requests submitted before Start() coalesce into one deterministic batch.
-TEST(ServeLoopTest, PreStartSubmissionsCoalesceIntoOneBatch) {
+TEST(OneShardServeTest, PreStartSubmissionsCoalesceIntoOneBatch) {
   const Graph g = HolmeKim(150, 4, 0.5, 33);
   const GctIndex gct = GctIndex::Build(g);
-  ServeLoop loop(gct);
+  ShardedServeLoop loop(gct);
   std::vector<Future<ServeReply>> futures;
   for (const BatchQuery& q : TestQueries()) {
     futures.push_back(loop.Submit(ServeRequest{1, q.k, q.r}));
@@ -312,13 +312,14 @@ TEST(ServeLoopTest, PreStartSubmissionsCoalesceIntoOneBatch) {
   EXPECT_EQ(stats.batch_size_count[TestQueries().size()], 1u);
 }
 
-TEST(ServeLoopTest, AdmissionControlRejectsDeterministically) {
+TEST(OneShardServeTest, AdmissionControlRejectsDeterministically) {
   const Graph g = HolmeKim(100, 4, 0.5, 34);
   const GctIndex gct = GctIndex::Build(g);
   ServeOptions options;
   options.max_r = 10;
   options.max_queue_depth = 2;
-  ServeLoop loop(gct, options);  // not started: depth cannot drain
+  // Not started: depth cannot drain.
+  ShardedServeLoop loop(gct, {.shard = options});
 
   EXPECT_EQ(loop.Submit(ServeRequest{1, 3, 11}).Get().status,
             ServeStatus::kRejectedRLimit);
@@ -352,7 +353,7 @@ TEST(ServeLoopTest, AdmissionControlRejectsDeterministically) {
 
 // A throwing searcher must not take the server down: its batch's futures
 // resolve to kInternalError and the loop keeps serving.
-TEST(ServeLoopTest, ThrowingSearcherFailsRequestsNotTheServer) {
+TEST(OneShardServeTest, ThrowingSearcherFailsRequestsNotTheServer) {
   class ThrowingSearcher : public DiversitySearcher {
    public:
     TopRResult TopR(std::uint32_t, std::uint32_t,
@@ -363,7 +364,7 @@ TEST(ServeLoopTest, ThrowingSearcherFailsRequestsNotTheServer) {
   };
 
   ThrowingSearcher searcher;
-  ServeLoop loop(searcher);
+  ShardedServeLoop loop(searcher);
   Future<ServeReply> a = loop.Submit(ServeRequest{1, 3, 5});
   Future<ServeReply> b = loop.Submit(ServeRequest{2, 4, 5});
   loop.Start();
@@ -501,7 +502,7 @@ TEST(StdinProtoTest, TranscriptByteStableAcrossServerThreads) {
   auto run = [&](std::uint32_t threads) {
     ServeOptions options;
     options.query_options.num_threads = threads;
-    ServeLoop loop(gct, options);
+    ShardedServeLoop loop(gct, {.shard = options});
     std::istringstream in(script);
     std::ostringstream out;
     const StdinProtoStats stats = RunStdinProto(in, out, loop);

@@ -27,7 +27,6 @@
 #include "core/query_session.h"
 #include "graph/generators.h"
 #include "serve_test_util.h"
-#include "server/serve_loop.h"
 #include "server/sharded_serve.h"
 #include "server/tenant_table.h"
 
@@ -413,30 +412,6 @@ TEST_F(ShardedServeStressTest, PerTenantSubmissionOrderIsPreserved) {
   for (std::uint32_t t = 0; t < kTenants; ++t) {
     EXPECT_EQ(failures[t], "") << "tenant " << t;
   }
-}
-
-TEST_F(ShardedServeStressTest, OneShardMatchesServeLoopTranscript) {
-  // ShardedServeLoop with one shard and the classic ServeLoop must agree
-  // reply for reply — the refactor onto internal::ConsumerLoop changed no
-  // behaviour.
-  ShardedServeOptions options;
-  ShardedServeLoop sharded(*searcher_, options);
-  ServeLoop single(*searcher_);
-  sharded.Start();
-  single.Start();
-  for (std::uint32_t k : kKs) {
-    for (std::uint32_t r : kRs) {
-      ServeReply a = sharded.Submit(ServeRequest{k, k, r}).Get();
-      ServeReply b = single.Submit(ServeRequest{k, k, r}).Get();
-      ASSERT_EQ(a.status, ServeStatus::kOk);
-      ASSERT_EQ(b.status, ServeStatus::kOk);
-      ExpectSameEntries(a.result, b.result,
-                        "k=" + std::to_string(k) + " r=" + std::to_string(r));
-    }
-  }
-  sharded.Shutdown();
-  single.Shutdown();
-  EXPECT_EQ(sharded.stats().served, single.stats().served);
 }
 
 // ------------------------------------------------------- TenantDepthTable
