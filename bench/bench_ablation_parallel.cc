@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "core/bound_search.h"
 #include "core/dynamic_tsd_index.h"
 #include "core/gct_index.h"
 #include "core/tsd_index.h"
@@ -53,32 +52,6 @@ int Run(int argc, char** argv) {
               HumanSeconds(gct_seconds), HumanSeconds(truss_seconds));
   }
   table.Print(std::cout);
-
-  // ScoreOrdered ramp sweep (the QueryOptions ramp knobs): the first
-  // parallel round scores threads × base candidates and each later round
-  // is growth× larger. Small bases terminate tight-bound searches early;
-  // large bases and growth amortize round barriers on long scans. The
-  // shipped defaults (base 4, growth 2) were picked from this sweep; the
-  // ranking is bit-identical for every setting.
-  std::cout << "\nScoreOrdered ramp sweep (bound method, k=4, r=10, "
-               "4 threads):\n";
-  TablePrinter ramp({"base/thread", "growth", "scored", "query time"});
-  BoundSearcher bound(g);
-  for (const std::uint32_t base : {1u, 2u, 4u, 8u, 16u}) {
-    for (const std::uint32_t growth : {2u, 4u}) {
-      QueryOptions options;
-      options.num_threads = 4;
-      options.ramp_base_per_thread = base;
-      options.ramp_growth = growth;
-      bound.set_query_options(options);
-      WallTimer query_timer;
-      const TopRResult result = bound.TopR(10, 4);
-      ramp.Row(std::uint64_t{base}, std::uint64_t{growth},
-               result.stats.vertices_scored,
-               HumanSeconds(query_timer.Seconds()));
-    }
-  }
-  ramp.Print(std::cout);
 
   // Dynamic maintenance: random insert/delete stream.
   const std::uint32_t updates =

@@ -3,7 +3,11 @@
 // against the Bsp baseline. Every plan's full decomposition is verified
 // bit-identical to Bsp's before its row prints, and the thresholded run is
 // verified exact on every edge at or above the floor, so the table can be
-// read as a pure performance comparison.
+// read as a pure performance comparison. Each time is the median of
+// kTimedRuns runs after one untimed warm-up, so no row absorbs the
+// cold-start cost.
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -14,6 +18,28 @@
 namespace {
 
 using namespace tsd;
+
+constexpr std::size_t kTimedRuns = 3;
+
+// Runs `plan` once untimed, then kTimedRuns times; returns the last run's
+// trussness and stores the median wall time in `*seconds`.
+std::vector<std::uint32_t> TimedTrussness(const Graph& g,
+                                          const TrussPlan& plan,
+                                          const ParallelConfig& config,
+                                          TrussPlanStats* stats,
+                                          double* seconds) {
+  std::vector<std::uint32_t> trussness =
+      TrussnessWithPlan(g, plan, config, stats);
+  std::array<double, kTimedRuns> times{};
+  for (double& time : times) {
+    WallTimer timer;
+    trussness = TrussnessWithPlan(g, plan, config, stats);
+    time = timer.Seconds();
+  }
+  std::nth_element(times.begin(), times.begin() + kTimedRuns / 2, times.end());
+  *seconds = times[kTimedRuns / 2];
+  return trussness;
+}
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -41,14 +67,12 @@ int Run(int argc, char** argv) {
   const ParallelConfig config{threads, 0};
   std::vector<std::uint32_t> reference;
   for (const TrussPlanAlgorithm algorithm :
-       {TrussPlanAlgorithm::kBsp, TrussPlanAlgorithm::kBspJacobi,
-        TrussPlanAlgorithm::kCoreThenTruss, TrussPlanAlgorithm::kAuto}) {
+       {TrussPlanAlgorithm::kBsp, TrussPlanAlgorithm::kCoreThenTruss,
+        TrussPlanAlgorithm::kAuto}) {
     TrussPlanStats stats;
-    WallTimer timer;
-    const std::vector<std::uint32_t> trussness =
-        TrussnessWithPlan(g, TrussPlan::FromAlgorithm(algorithm), config,
-                          &stats);
-    const double seconds = timer.Seconds();
+    double seconds = 0;
+    const std::vector<std::uint32_t> trussness = TimedTrussness(
+        g, TrussPlan::FromAlgorithm(algorithm), config, &stats, &seconds);
     if (reference.empty()) {
       reference = trussness;
     } else if (trussness != reference) {
@@ -73,16 +97,15 @@ int Run(int argc, char** argv) {
             << ", 1 thread):\n";
   const ParallelConfig single{1, 0};
 
-  WallTimer bsp_timer;
-  const std::vector<std::uint32_t> bsp_trussness =
-      TrussnessWithPlan(g, TrussPlan::Bsp(), single);
-  const double bsp_seconds = bsp_timer.Seconds();
+  double bsp_seconds = 0;
+  const std::vector<std::uint32_t> bsp_trussness = TimedTrussness(
+      g, TrussPlan::Bsp(), single, nullptr, &bsp_seconds);
 
   TrussPlanStats core_stats;
-  WallTimer core_timer;
-  const std::vector<std::uint32_t> core_trussness = TrussnessWithPlan(
-      g, TrussPlan::CoreThenTruss(floor_k), single, &core_stats);
-  const double core_seconds = core_timer.Seconds();
+  double core_seconds = 0;
+  const std::vector<std::uint32_t> core_trussness =
+      TimedTrussness(g, TrussPlan::CoreThenTruss(floor_k), single,
+                     &core_stats, &core_seconds);
 
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (bsp_trussness[e] >= floor_k &&

@@ -32,9 +32,6 @@ enum class TrussPlanAlgorithm : std::uint8_t {
   kAuto = 0,
   /// Frontier-parallel bulk-synchronous peel — the reference plan.
   kBsp,
-  /// Separated edge-removal rounds: supports of touched edges are
-  /// recomputed against a frozen frontier, then committed.
-  kBspJacobi,
   /// k-core prefilter first; edges whose Burkhardt core-number bound can
   /// never reach the requested trussness are pruned before any triangle
   /// counting.

@@ -54,6 +54,18 @@ std::uint32_t QueryPipeline::ResolveChunks(std::uint64_t total) const {
   return EffectiveChunks(ToParallelConfig(options_), total);
 }
 
+QueryPipeline::RoundRamp QueryPipeline::StartRamp(
+    std::uint64_t total, std::uint64_t capacity) const {
+  const std::uint64_t num_threads = options_.num_threads;
+  const std::uint64_t chunk_size =
+      (total + ResolveChunks(total) - 1) / ResolveChunks(total);
+  const std::uint64_t max_size =
+      std::max(chunk_size * num_threads, num_threads);
+  return {std::min(max_size,
+                   std::max(num_threads * kRampBasePerThread, capacity)),
+          max_size};
+}
+
 void QueryPipeline::MergeInto(std::vector<TopRCollector>& locals,
                               TopRCollector* collector) const {
   // Worker order; the top-r set under the total order is unique, so any
@@ -87,12 +99,8 @@ QueryOptions QueryOptionsFromFlags(const Flags& flags) {
   const std::string plan = flags.GetString("plan", "auto");
   const std::optional<TrussPlanAlgorithm> parsed = ParseTrussPlanAlgorithm(plan);
   TSD_CHECK_MSG(parsed.has_value(),
-                "--plan must be one of auto, bsp, jacobi, core-truss");
+                "--plan must be one of " << TrussPlanAlgorithmNames());
   options.truss_plan = *parsed;
-  options.ramp_base_per_thread = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("ramp-base", 4)));
-  options.ramp_growth = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, flags.GetInt("ramp-growth", 2)));
   return options;
 }
 

@@ -189,6 +189,26 @@ class QueryPipeline {
       std::vector<TopREntry>* entries, ContextFn&& fn);
 
  private:
+  // Round schedule of the bound-ordered parallel scans (ScoreOrdered and
+  // ScoreOrderedMulti): the first round scores max(num_threads *
+  // kRampBasePerThread, r) candidates and each next round kRampGrowth times
+  // more, capped at one chunk per worker. Small early rounds stop cheaply
+  // when the bound order prunes early (Example 3 scores exactly one
+  // vertex); the geometric growth bounds the number of round barriers when
+  // it does not. Rankings are identical for any schedule; only wall time
+  // and vertices_scored move. Values picked by the former
+  // bench_ablation_parallel ramp sweep.
+  static constexpr std::uint64_t kRampBasePerThread = 4;
+  static constexpr std::uint64_t kRampGrowth = 2;
+  struct RoundRamp {
+    std::uint64_t size;      // candidates in the current round
+    std::uint64_t max_size;  // one chunk per worker
+    void Grow() { size = std::min(max_size, size * kRampGrowth); }
+  };
+  /// The first round of a scan over `total` candidates whose largest
+  /// collector holds `capacity` entries.
+  RoundRamp StartRamp(std::uint64_t total, std::uint64_t capacity) const;
+
   std::uint32_t ResolveChunks(std::uint64_t total) const;
   void MergeInto(std::vector<TopRCollector>& locals,
                  TopRCollector* collector) const;
@@ -277,31 +297,16 @@ std::uint64_t QueryPipeline::ScoreOrdered(std::span<const VertexId> order,
   // Rounds of work split across the workers; the termination check runs
   // between rounds against the merged collector. Candidates are
   // bound-sorted, so checking the first candidate of a round covers the
-  // whole round. Round sizes ramp geometrically under the QueryOptions
-  // ramp knobs: the first rounds stay small so a search that terminates
-  // after a handful of candidates (r small, bounds tight — Example 3
-  // scores exactly one vertex) does not pay for a full chunk per worker,
-  // while long scans quickly reach full chunk-sized rounds.
+  // whole round. Round sizes follow the RoundRamp schedule.
   const std::uint32_t num_threads = options_.num_threads;
   const std::uint64_t total = order.size();
-  const std::uint64_t chunk_size =
-      (total + ResolveChunks(total) - 1) / ResolveChunks(total);
-  const std::uint64_t max_round_size =
-      std::max<std::uint64_t>(chunk_size * num_threads, num_threads);
-  const std::uint64_t growth =
-      std::max<std::uint64_t>(1, options_.ramp_growth);
-  std::uint64_t round_size = std::min<std::uint64_t>(
-      max_round_size,
-      std::max<std::uint64_t>(
-          std::uint64_t{num_threads} *
-              std::max<std::uint32_t>(1, options_.ramp_base_per_thread),
-          collector->capacity()));
+  RoundRamp ramp = StartRamp(total, collector->capacity());
   std::vector<TopRCollector> locals;
   std::uint64_t round_begin = 0;
   while (round_begin < total) {
     const VertexId first = order[round_begin];
     if (collector->CanPrune(bounds[first], first)) break;
-    const std::uint64_t round_end = std::min(total, round_begin + round_size);
+    const std::uint64_t round_end = std::min(total, round_begin + ramp.size);
     locals.assign(num_threads, TopRCollector(collector->capacity()));
     ParallelForChunksIndexed(
         round_end - round_begin, num_threads, num_threads,
@@ -317,7 +322,7 @@ std::uint64_t QueryPipeline::ScoreOrdered(std::span<const VertexId> order,
     MergeInto(locals, collector);
     scored += round_end - round_begin;
     round_begin = round_end;
-    round_size = std::min(max_round_size, round_size * growth);
+    ramp.Grow();
   }
   return scored;
 }
@@ -355,22 +360,11 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
   // check asks every collector before continuing.
   const std::uint32_t num_threads = options_.num_threads;
   const std::uint64_t total = order.size();
-  const std::uint64_t chunk_size =
-      (total + ResolveChunks(total) - 1) / ResolveChunks(total);
-  const std::uint64_t max_round_size =
-      std::max<std::uint64_t>(chunk_size * num_threads, num_threads);
-  const std::uint64_t growth =
-      std::max<std::uint64_t>(1, options_.ramp_growth);
   std::uint64_t max_capacity = 0;
   for (TopRCollector* collector : collectors) {
     max_capacity = std::max<std::uint64_t>(max_capacity, collector->capacity());
   }
-  std::uint64_t round_size = std::min<std::uint64_t>(
-      max_round_size,
-      std::max<std::uint64_t>(
-          std::uint64_t{num_threads} *
-              std::max<std::uint32_t>(1, options_.ramp_base_per_thread),
-          max_capacity));
+  RoundRamp ramp = StartRamp(total, max_capacity);
 
   std::vector<std::vector<TopRCollector>> locals(num_threads);
   std::vector<std::vector<std::uint32_t>> scores(num_threads);
@@ -379,7 +373,7 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
   while (round_begin < total) {
     const VertexId first = order[round_begin];
     if (all_can_prune(first)) break;
-    const std::uint64_t round_end = std::min(total, round_begin + round_size);
+    const std::uint64_t round_end = std::min(total, round_begin + ramp.size);
     for (std::uint32_t t = 0; t < num_threads; ++t) {
       locals[t].clear();
       for (std::size_t q = 0; q < num_queries; ++q) {
@@ -408,7 +402,7 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
     }
     scored += round_end - round_begin;
     round_begin = round_end;
-    round_size = std::min(max_round_size, round_size * growth);
+    ramp.Grow();
   }
   return scored;
 }

@@ -39,16 +39,6 @@ struct QueryOptions {
   /// global decomposition (bound sparsification, stats). Every plan yields
   /// bit-identical trussness — this is a performance knob (tsdtool --plan).
   TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
-  /// ScoreOrdered round ramp-up: the first parallel round scores
-  /// max(num_threads * ramp_base_per_thread, r) candidates and each
-  /// following round is ramp_growth times larger (capped at one chunking
-  /// unit of the candidate range). Small early rounds stop cheaply when the
-  /// bound order prunes early; the geometric growth bounds the number of
-  /// round barriers when it does not. Defaults from the
-  /// bench_ablation_parallel --ramp sweep. Rankings are bit-identical for
-  /// any setting; only wall time and vertices_scored move.
-  std::uint32_t ramp_base_per_thread = 4;
-  std::uint32_t ramp_growth = 2;
 
   bool operator==(const QueryOptions&) const = default;
 };

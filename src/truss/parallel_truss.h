@@ -38,19 +38,4 @@ std::vector<std::uint32_t> TrussnessFromSupport(const Graph& graph,
                                                 std::vector<std::uint32_t> support,
                                                 const ParallelConfig& config);
 
-/// Jacobi-schedule variant of TrussnessFromSupport (TrussPlan::BspJacobi):
-/// each sub-round freezes and retires the whole frontier, then recomputes
-/// the true surviving support of every touched edge in parallel against the
-/// frozen state — no per-triangle tie-break and no decrement bookkeeping —
-/// and commits with the same level clamp as the bucket queue. The stored
-/// support of every alive edge always equals its exact support in the
-/// surviving graph, so the frontier sets evolve identically to the Bsp peel
-/// and the result is bit-identical to PeelSupportToTrussness for every
-/// graph and thread count. Unlike TrussnessFromSupport, a single thread
-/// runs the same Jacobi rounds (not the sequential bucket queue), so the
-/// schedule itself is exercised at every thread count.
-std::vector<std::uint32_t> TrussnessFromSupportJacobi(
-    const Graph& graph, std::vector<std::uint32_t> support,
-    const ParallelConfig& config);
-
 }  // namespace tsd

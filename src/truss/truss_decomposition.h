@@ -8,7 +8,7 @@
 //
 // Construction accepts a ParallelConfig and routes through the TrussPlan
 // subsystem (truss/truss_plan.h): config.truss_plan picks the kernel (Bsp,
-// BspJacobi, CoreThenTruss, or the statistics-driven auto-tuner) and
+// CoreThenTruss, or the statistics-driven auto-tuner) and
 // config.num_threads its parallelism. Trussness is unique, so every plan is
 // bit-identical to the sequential decomposition at any thread count. A
 // caller that only consumes trussness ≥ t may pass an explicit plan with

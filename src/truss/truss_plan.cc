@@ -1,6 +1,7 @@
 #include "truss/truss_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/bitmap.h"
@@ -53,22 +54,14 @@ GraphStatistics ComputeGraphStatistics(const Graph& graph) {
 
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
                                             std::uint32_t min_trussness,
-                                            const ParallelConfig& config) {
+                                            const ParallelConfig& /*config*/) {
   // A consumption floor above 2 makes the O(n + m) core prefilter worth its
   // price whenever the degree distribution is skewed: skew puts mass below
   // the floor's core bound, and every pruned edge skips its O(ρ) support
-  // intersection and all peeling work entirely.
+  // intersection and all peeling work entirely. Everything else runs the
+  // reference frontier-parallel peel.
   if (min_trussness > 2 && stats.degree_skew >= 3.0) {
     return TrussPlanAlgorithm::kCoreThenTruss;
-  }
-  // Wide, even frontiers — dense graphs with balanced degrees peel many
-  // edges per level — favour the Jacobi schedule: its recompute phase is
-  // tie-break-free and embarrassingly parallel. Narrow or skewed frontiers
-  // favour Bsp's cheaper per-triangle decrements, and below 4 threads the
-  // recompute overhead has nothing to amortize against.
-  if (config.num_threads >= 4 && stats.average_degree >= 16.0 &&
-      stats.degree_skew < 3.0) {
-    return TrussPlanAlgorithm::kBspJacobi;
   }
   return TrussPlanAlgorithm::kBsp;
 }
@@ -112,6 +105,12 @@ std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
 
 namespace {
 
+// Every plan, in the order the CLI lists them; the one spelling table
+// behind ParseTrussPlanAlgorithm and TrussPlanAlgorithmNames.
+constexpr std::array<TrussPlanAlgorithm, 3> kTrussPlanAlgorithms = {
+    TrussPlanAlgorithm::kAuto, TrussPlanAlgorithm::kBsp,
+    TrussPlanAlgorithm::kCoreThenTruss};
+
 std::vector<std::uint32_t> SupportForPlan(const Graph& graph,
                                           const ParallelConfig& config,
                                           bool bitmap_kernel) {
@@ -120,17 +119,13 @@ std::vector<std::uint32_t> SupportForPlan(const Graph& graph,
 }
 
 std::vector<std::uint32_t> RunPeel(const Graph& graph,
-                                   TrussPlanAlgorithm algorithm,
                                    const ParallelConfig& config,
                                    TrussPlanStats& stats) {
   stats.bitmap_kernel = internal::BitmapSupportEligible(
       graph.num_vertices(), graph.num_edges(), internal::kBitmapBudgetBytes,
       internal::kGlobalBitmapDensityShift);
-  std::vector<std::uint32_t> support =
-      SupportForPlan(graph, config, stats.bitmap_kernel);
-  return algorithm == TrussPlanAlgorithm::kBspJacobi
-             ? TrussnessFromSupportJacobi(graph, std::move(support), config)
-             : TrussnessFromSupport(graph, std::move(support), config);
+  return TrussnessFromSupport(
+      graph, SupportForPlan(graph, config, stats.bitmap_kernel), config);
 }
 
 // CoreThenTruss: prune every edge whose Burkhardt bound
@@ -161,14 +156,14 @@ std::vector<std::uint32_t> RunCoreThenTruss(const Graph& graph,
   if (stats.edges_pruned == 0) {
     // Nothing to prune (always the case at min_trussness == 2: every edge
     // endpoint has core ≥ 1); skip the subgraph rebuild.
-    return RunPeel(graph, TrussPlanAlgorithm::kBsp, config, stats);
+    return RunPeel(graph, config, stats);
   }
 
   const Graph sub = Graph::FromEdges(std::move(kept_edges),
                                      graph.num_vertices());
   TSD_CHECK(sub.num_edges() == kept_ids.size());
   const std::vector<std::uint32_t> sub_trussness =
-      RunPeel(sub, TrussPlanAlgorithm::kBsp, config, stats);
+      RunPeel(sub, config, stats);
 
   // GraphBuilder sorts edges by (u, v) and the kept list is an (already
   // sorted) subsequence of graph.edges(), so subgraph edge i is exactly
@@ -201,15 +196,14 @@ std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
   if (out.algorithm == TrussPlanAlgorithm::kCoreThenTruss) {
     return RunCoreThenTruss(graph, plan, config, out);
   }
-  return RunPeel(graph, out.algorithm, config, out);
+  return RunPeel(graph, config, out);
 }
 
 std::optional<TrussPlanAlgorithm> ParseTrussPlanAlgorithm(
     std::string_view name) {
-  if (name == "auto") return TrussPlanAlgorithm::kAuto;
-  if (name == "bsp") return TrussPlanAlgorithm::kBsp;
-  if (name == "jacobi") return TrussPlanAlgorithm::kBspJacobi;
-  if (name == "core-truss") return TrussPlanAlgorithm::kCoreThenTruss;
+  for (const TrussPlanAlgorithm algorithm : kTrussPlanAlgorithms) {
+    if (name == TrussPlanAlgorithmName(algorithm)) return algorithm;
+  }
   return std::nullopt;
 }
 
@@ -219,13 +213,20 @@ std::string TrussPlanAlgorithmName(TrussPlanAlgorithm algorithm) {
       return "auto";
     case TrussPlanAlgorithm::kBsp:
       return "bsp";
-    case TrussPlanAlgorithm::kBspJacobi:
-      return "jacobi";
     case TrussPlanAlgorithm::kCoreThenTruss:
       return "core-truss";
   }
   TSD_CHECK(false);
   __builtin_unreachable();
+}
+
+std::string TrussPlanAlgorithmNames() {
+  std::string names;
+  for (const TrussPlanAlgorithm algorithm : kTrussPlanAlgorithms) {
+    if (!names.empty()) names += ", ";
+    names += TrussPlanAlgorithmName(algorithm);
+  }
+  return names;
 }
 
 }  // namespace tsd

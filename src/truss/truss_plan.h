@@ -8,13 +8,6 @@
 //
 //  * Bsp           — the frontier-parallel peel of truss/parallel_truss.h,
 //                    unchanged, as the reference plan.
-//  * BspJacobi     — separated edge-removal rounds: the frontier is frozen,
-//                    the true surviving support of every touched edge is
-//                    recomputed in parallel, then committed. More work per
-//                    touched edge than Bsp's decrement bookkeeping, but the
-//                    recompute phase is embarrassingly parallel and free of
-//                    the per-triangle tie-break, which pays on wide
-//                    frontiers.
 //  * CoreThenTruss — runs the k-core machinery first and applies the
 //                    Burkhardt core-number bound (arXiv:1806.05523): the
 //                    k-truss is contained in the (k-1)-core, so
@@ -22,7 +15,7 @@
 //                    edge whose bound falls below the requested minimum
 //                    trussness is pruned before any triangle counting.
 //  * Auto          — picks one of the above from cheap one-pass statistics
-//                    (n, m, density, degeneracy estimate, degree skew).
+//                    (degree skew and the consumption floor).
 //
 // Orthogonally to the peel choice, the support-computation stage may run a
 // bitmap triangle kernel (per-vertex adjacency bitmaps + AND-popcount,
@@ -87,7 +80,6 @@ class TrussPlan {
     return TrussPlan(Algorithm::kAuto, min_trussness);
   }
   static TrussPlan Bsp() { return TrussPlan(Algorithm::kBsp, 2); }
-  static TrussPlan BspJacobi() { return TrussPlan(Algorithm::kBspJacobi, 2); }
   static TrussPlan CoreThenTruss(std::uint32_t min_trussness = 2) {
     return TrussPlan(Algorithm::kCoreThenTruss, min_trussness);
   }
@@ -128,8 +120,10 @@ struct TrussPlanStats {
   GraphStatistics graph_stats;
 };
 
-/// The auto-tuner: deterministic pure function of the statistics, the
-/// consumption floor, and the thread budget. Never returns kAuto.
+/// The auto-tuner: deterministic pure function of the statistics and the
+/// consumption floor (CoreThenTruss when the floor is above 2 and the degree
+/// skew is at least 3, Bsp otherwise). Never returns kAuto. No rule depends
+/// on the thread budget in `config`.
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
                                             std::uint32_t min_trussness,
                                             const ParallelConfig& config);
@@ -144,10 +138,13 @@ std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
                                              const ParallelConfig& config,
                                              TrussPlanStats* stats = nullptr);
 
-/// CLI spellings: "auto", "bsp", "jacobi", "core-truss".
+/// CLI spellings: "auto", "bsp", "core-truss". The parser accepts exactly
+/// the TrussPlanAlgorithmName of each plan.
 std::optional<TrussPlanAlgorithm> ParseTrussPlanAlgorithm(
     std::string_view name);
 std::string TrussPlanAlgorithmName(TrussPlanAlgorithm algorithm);
+/// Every CLI spelling, joined by ", " (for usage errors).
+std::string TrussPlanAlgorithmNames();
 
 namespace internal {
 

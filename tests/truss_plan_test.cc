@@ -1,11 +1,11 @@
 // Differential suite for the TrussPlan subsystem (truss/truss_plan.h).
 // Trussness is the unique fixed point of support peeling, so every plan —
-// Bsp, BspJacobi, CoreThenTruss, and whatever Auto resolves to — must be
+// Bsp, CoreThenTruss, and whatever Auto resolves to — must be
 // bit-identical to the sequential Wang–Cheng peel on every graph at every
 // thread count; exact equality is the specification, not a tolerance.
 // Also covers: CoreThenTruss prune soundness against an independently
-// recomputed core bound, auto-tuner determinism, the Jacobi schedule on
-// large frontiers, the bitmap support kernel, the plan knob threading
+// recomputed core bound, auto-tuner determinism and decision table, the
+// bitmap support kernel, the plan knob threading
 // through QueryOptions into the searchers, and the ordered batch scan
 // (small total r) against the per-query reference.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "truss/core_decomposition.h"
-#include "truss/parallel_truss.h"
 #include "truss/peeling.h"
 #include "graph/triangle.h"
 #include "truss/truss_decomposition.h"
@@ -54,7 +53,6 @@ struct PlanCase {
 
 std::vector<PlanCase> PlanCases() {
   return {{"bsp", TrussPlanAlgorithm::kBsp},
-          {"jacobi", TrussPlanAlgorithm::kBspJacobi},
           {"core_truss", TrussPlanAlgorithm::kCoreThenTruss},
           {"auto", TrussPlanAlgorithm::kAuto}};
 }
@@ -144,7 +142,7 @@ TEST_P(TrussPlanDifferentialTest, TrussDecompositionRoutesPlan) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGraphsAllPlans, TrussPlanDifferentialTest,
-    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 4)),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, 3)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return TestGraphs()[std::get<0>(info.param)].name + "_" +
              PlanCases()[std::get<1>(info.param)].name;
@@ -232,35 +230,53 @@ TEST(TrussPlanAutoTest, ResolutionAndResultAreDeterministic) {
   }
 }
 
+// Hand-built statistics, no graph: Auto is CoreThenTruss exactly when the
+// floor is above 2 and the degree skew is at least 3, Bsp otherwise, at any
+// thread count.
+TEST(TrussPlanAutoTest, DecisionTable) {
+  const auto stats_with = [](double average_degree, double degree_skew) {
+    GraphStatistics stats;
+    stats.average_degree = average_degree;
+    stats.degree_skew = degree_skew;
+    return stats;
+  };
+  const GraphStatistics skewed = stats_with(8.0, 12.0);
+  const GraphStatistics even = stats_with(8.0, 1.5);
+  // The dense, low-skew Erdős–Rényi shape (n=5,000, m=500k).
+  const GraphStatistics dense_even = stats_with(200.0, 1.26);
+  for (const std::uint32_t threads : {1u, 4u, 8u}) {
+    const ParallelConfig config{threads, 0};
+    const std::string label = "threads=" + std::to_string(threads);
+    for (const GraphStatistics& stats : {skewed, even, dense_even}) {
+      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2, config),
+                TrussPlanAlgorithm::kBsp)
+          << label;
+    }
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(skewed, 5, config),
+              TrussPlanAlgorithm::kCoreThenTruss)
+        << label;
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 3.0), 3, config),
+              TrussPlanAlgorithm::kCoreThenTruss)
+        << label;
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(even, 5, config),
+              TrussPlanAlgorithm::kBsp)
+        << label;
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 2.99), 3, config),
+              TrussPlanAlgorithm::kBsp)
+        << label;
+  }
+}
+
 TEST(TrussPlanParseTest, RoundTripsCliSpellings) {
-  for (const std::string name : {"auto", "bsp", "jacobi", "core-truss"}) {
+  for (const std::string name : {"auto", "bsp", "core-truss"}) {
     const auto parsed = ParseTrussPlanAlgorithm(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(TrussPlanAlgorithmName(*parsed), name);
   }
+  EXPECT_EQ(TrussPlanAlgorithmNames(), "auto, bsp, core-truss");
+  EXPECT_FALSE(ParseTrussPlanAlgorithm("jacobi").has_value());
   EXPECT_FALSE(ParseTrussPlanAlgorithm("coretruss").has_value());
   EXPECT_FALSE(ParseTrussPlanAlgorithm("").has_value());
-}
-
-// ------------------------------------------------ Jacobi large frontiers
-
-// The small differential graphs mostly peel narrow frontiers (inline
-// scatter and inline recompute). A clique peels as one frontier holding
-// every edge and the dense ER graph peels thousands of edges per level, so
-// these force the threaded recompute path of the Jacobi schedule.
-TEST(BspJacobiLargeFrontierTest, ThreadedRecomputeBitIdentical) {
-  const Graph clique = Clique(120);  // m = 7140 >= 8 threads * 512
-  const Graph dense_er = ErdosRenyi(3000, 60000, 7);
-  for (const Graph* g : {&clique, &dense_er}) {
-    const std::vector<std::uint32_t> expected = SequentialTrussness(*g);
-    for (const std::uint32_t threads : {2u, 8u}) {
-      const ParallelConfig config{threads, 0};
-      EXPECT_EQ(
-          TrussnessFromSupportJacobi(*g, ComputeSupport(*g, config), config),
-          expected)
-          << "threads=" << threads;
-    }
-  }
 }
 
 // ------------------------------------------------ bitmap support kernel
@@ -377,27 +393,6 @@ TEST(TrussPlanSearcherTest, OrderedBatchScanBitIdenticalToPerQuery) {
         ExpectSameEntries(tsd_results[q], tsd.TopR(query.r, query.k),
                           "tsd " + label);
       }
-    }
-  }
-}
-
-// The ScoreOrdered ramp knobs trade round-barrier overhead against
-// overshoot; the ranking is bit-identical for every setting.
-TEST(TrussPlanSearcherTest, RampOptionsDoNotChangeResults) {
-  const Graph g = HolmeKim(250, 5, 0.6, 4);
-  BoundSearcher reference(g);
-  const TopRResult expected = reference.TopR(10, 4);
-  for (const std::uint32_t base : {1u, 2u, 16u}) {
-    for (const std::uint32_t growth : {2u, 4u}) {
-      BoundSearcher searcher(g);
-      QueryOptions options;
-      options.num_threads = 4;
-      options.ramp_base_per_thread = base;
-      options.ramp_growth = growth;
-      searcher.set_query_options(options);
-      ExpectSameEntries(searcher.TopR(10, 4), expected,
-                        "base=" + std::to_string(base) + " growth=" +
-                            std::to_string(growth));
     }
   }
 }

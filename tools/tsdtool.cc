@@ -132,9 +132,9 @@ int Usage() {
       "the bound method, triangle counting, and index construction (build).\n"
       "Output is identical at any thread count; --chunks=M tunes load\n"
       "balancing. Results go to stdout, diagnostics to stderr.\n"
-      "--plan={auto,bsp,jacobi,core-truss} picks the truss-decomposition\n"
-      "kernel those preprocessing stages run (e.g. `tsdtool stats g.txt\n"
-      "--plan=core-truss`, `tsdtool topr g.txt --method=bound --plan=jacobi`).\n"
+      "--plan={auto,bsp,core-truss} picks the truss-decomposition kernel\n"
+      "those preprocessing stages run (e.g. `tsdtool stats g.txt\n"
+      "--plan=core-truss`, `tsdtool topr g.txt --method=bound --plan=bsp`).\n"
       "Every plan produces bit-identical trussness — auto picks from the\n"
       "tuner statistics that `stats` prints; core-truss prunes core-bounded\n"
       "edges before triangle counting when a query needs only trussness>=k.\n";
