@@ -8,9 +8,6 @@
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "truss/k_truss.h"
-#include "truss/parallel_truss.h"
-#include "truss/truss_decomposition.h"
-#include "truss/truss_plan.h"
 
 namespace tsd {
 namespace {
@@ -72,28 +69,20 @@ TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
   PipelineRearm rearm(pipeline, graph_);
 
   // --- Preprocessing: sparsification + bounds (lines 1–4 of Algorithm 4).
-  Graph reduced;
+  // Property 1: only edges with τ_G(e) ≥ k+1, i.e. the (k+1)-truss, can
+  // contribute.
+  KTruss reduced;
   std::vector<std::uint32_t> bounds;
   {
     ScopedTimer t(&result.stats.preprocess_seconds);
-    // The global decomposition and m_v counts run on the same thread knobs
-    // as the scan phases (the preprocess was the last serial fraction), and
-    // under the session's truss plan. Only edges with τ_G(e) ≥ k+1 are
-    // consumed here, so the plan may prune below that floor (CoreThenTruss
-    // drops core-bounded edges before any triangle counting).
-    const ParallelConfig config = ToParallelConfig(session.options());
-    const TrussDecomposition truss(
-        graph_, config, TrussPlan::FromAlgorithm(config.truss_plan, k + 1));
-    result.stats.edges_pruned = truss.plan_stats().edges_pruned;
-    // Property 1: only edges with τ_G(e) ≥ k+1 can contribute.
-    reduced = KTrussSubgraph(graph_, truss.edge_trussness(), k + 1);
-    pipeline.Rebind(reduced);
-    const std::vector<std::uint64_t> ego_edges =
-        TrianglesPerVertex(reduced, config);
-    pipeline.MapScores(reduced.num_vertices(), &bounds,
-                       [&](QueryWorkspace&, VertexId v) {
-                         return UpperBound(reduced.degree(v), ego_edges[v], k);
-                       });
+    reduced = KTrussPeel(graph_, k + 1, ToParallelConfig(session.options()));
+    result.stats.edges_pruned = reduced.stats.edges_pruned;
+    pipeline.Rebind(reduced.truss);
+    pipeline.MapScores(
+        reduced.truss.num_vertices(), &bounds,
+        [&](QueryWorkspace&, VertexId v) {
+          return UpperBound(reduced.truss.degree(v), reduced.TrianglesAt(v), k);
+        });
   }
 
   // Candidates in non-increasing bound order (ties by ascending id for
@@ -144,10 +133,10 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   PipelineRearm rearm(pipeline, graph_);
 
   // The smallest requested k gives the loosest sparsification, which is
-  // valid for every batched threshold at once (KTrussSubgraph preserves the
+  // valid for every batched threshold at once (the truss keeps the
   // vertex-id space, so the candidate range matches the per-query scans).
   const std::uint32_t k_min = runner.thresholds().back();
-  Graph reduced;
+  KTruss reduced;
   std::vector<std::uint32_t> bounds;
   std::vector<VertexId> order;
   // When every query's r is small, one shared bound order prunes most of
@@ -155,25 +144,21 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
   // m_v/C(k,2)) is non-increasing in k, so evaluating it at the smallest
   // requested k upper-bounds every query's score and the ordered scan can
   // stop once every collector prunes. With large r nearly every candidate
-  // gets scored anyway, so the m_v counting pass and the bound ordering
-  // would not pay for themselves. Entries are bit-identical either way.
+  // gets scored anyway, so the bound pass and the ordering would not pay
+  // for themselves. Entries are bit-identical either way.
   const bool ordered = runner.total_r() * 64 <= graph_.num_vertices();
   {
     ScopedTimer t(&stats.preprocess_seconds);
-    const ParallelConfig config = ToParallelConfig(session.options());
-    const TrussDecomposition truss(
-        graph_, config,
-        TrussPlan::FromAlgorithm(config.truss_plan, k_min + 1));
-    stats.edges_pruned = truss.plan_stats().edges_pruned;
-    reduced = KTrussSubgraph(graph_, truss.edge_trussness(), k_min + 1);
-    pipeline.Rebind(reduced);
+    reduced =
+        KTrussPeel(graph_, k_min + 1, ToParallelConfig(session.options()));
+    stats.edges_pruned = reduced.stats.edges_pruned;
+    pipeline.Rebind(reduced.truss);
     if (ordered) {
-      const std::vector<std::uint64_t> ego_edges =
-          TrianglesPerVertex(reduced, config);
-      pipeline.MapScores(
-          reduced.num_vertices(), &bounds, [&](QueryWorkspace&, VertexId v) {
-            return UpperBound(reduced.degree(v), ego_edges[v], k_min);
-          });
+      pipeline.MapScores(reduced.truss.num_vertices(), &bounds,
+                         [&](QueryWorkspace&, VertexId v) {
+                           return UpperBound(reduced.truss.degree(v),
+                                             reduced.TrianglesAt(v), k_min);
+                         });
       order = OrderByBoundDesc(bounds);
     }
   }
@@ -192,7 +177,7 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
                         ws.multi_scorer().Compute(ego, ws.trussness(),
                                                   runner.thresholds(), out);
                       })
-                : runner.RunEgoScan(pipeline, reduced.num_vertices());
+                : runner.RunEgoScan(pipeline, reduced.truss.num_vertices());
   }
 
   {

@@ -10,12 +10,19 @@
 //     set is full and the next bound is below the r-th best score, the
 //     search terminates early.
 //
+// Preprocessing computes no trussness. Property 1 needs only membership in
+// the (k+1)-truss, so KTrussPeel (truss/k_truss.h) peels that one truss
+// directly: bulk support recounts while many edges fall below k−1, then a
+// frontier-parallel peel at that single threshold. The peel leaves every
+// surviving edge's exact support in the truss, and m_v — the ego edge
+// count of Lemma 2, i.e. v's triangles in the truss — is Σ_{e∋v} sup(e) / 2,
+// so no second triangle count runs. The peel runs on the session's thread
+// knobs and is identical at any thread count (the (k+1)-truss is unique).
+// The session's truss plan (--plan) does not affect this searcher.
+//
 // The bound-computation, exact-verification, and context phases all run on
 // the shared QueryPipeline; with num_threads > 1 the early termination
 // happens at round granularity (rankings unchanged, see query_pipeline.h).
-// The preprocessing phase (global truss decomposition + m_v counts) runs on
-// the same thread knobs via truss/parallel_truss.h — bit-identical at any
-// thread count, since trussness is unique.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +48,10 @@ class BoundSearcher : public DiversitySearcher {
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
 
-  /// Amortized batch path: one global truss decomposition and one
-  /// sparsification at the smallest requested k serve every query (Property
-  /// 1 holds per k on that subgraph since its edge set contains every edge
-  /// with τ_G(e) ≥ k+1 for all batched k), then one ego decomposition per
-  /// surviving vertex scores all thresholds. Exact scores for every
+  /// Amortized batch path: one (k+1)-truss peel at the smallest requested
+  /// k serves every query (Property 1 holds per k on that subgraph since its
+  /// edge set contains every edge with τ_G(e) ≥ k+1 for all batched k), then
+  /// one ego decomposition per surviving vertex scores all thresholds. Exact scores for every
   /// candidate, so entries are bit-identical to per-query TopR.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;

@@ -35,9 +35,11 @@ struct QueryOptions {
   /// Chunks the candidate range is split into (0 = auto: one chunk when
   /// sequential, 8 per thread otherwise, matching the index builders).
   std::uint32_t num_chunks = 0;
-  /// Truss-decomposition kernel for the preprocessing stages that run a
-  /// global decomposition (bound sparsification, stats). Every plan yields
+  /// Truss-decomposition kernel for callers that run a global
+  /// decomposition on these knobs (tsdtool stats). Every plan yields
   /// bit-identical trussness — this is a performance knob (tsdtool --plan).
+  /// No searcher reads it: the bound searcher peels its (k+1)-truss
+  /// directly (truss/k_truss.h).
   TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
 
   bool operator==(const QueryOptions&) const = default;
@@ -59,9 +61,9 @@ struct SearchStats {
   double context_seconds = 0;
   /// Worker threads the query pipeline ran with (Fig. 8/15 speedup reports).
   std::uint32_t threads_used = 1;
-  /// Edges dropped by the preprocess plan's core-number prefilter before
-  /// any triangle counting (TrussPlan::CoreThenTruss; 0 for the other
-  /// plans and for searchers that run no global decomposition).
+  /// Edges the bound searcher's sparsification drops: those outside the
+  /// (k+1)-truss, m − |E(T)| (for a batch, k is its smallest threshold).
+  /// 0 for searchers that do not sparsify.
   std::uint64_t edges_pruned = 0;
 };
 

@@ -46,6 +46,44 @@ EdgeId Graph::FindEdge(VertexId u, VertexId v) const {
   return incident_edges(u)[static_cast<std::size_t>(it - nbrs.begin())];
 }
 
+Graph Graph::EdgeSubgraph(std::span<const std::uint8_t> keep) const {
+  TSD_CHECK(keep.size() == edges_.size());
+  const VertexId n = num_vertices_;
+  std::vector<EdgeId> new_id(edges_.size(), kInvalidEdge);
+  std::vector<Edge> edges;
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    if (keep[e] == 0) continue;
+    new_id[e] = static_cast<EdgeId>(edges.size());
+    edges.push_back(edges_[e]);
+  }
+
+  // Filtering a sorted adjacency list keeps it sorted, and the id map is
+  // monotone, so every per-vertex slice comes out in CSR order directly.
+  Graph g;
+  g.num_vertices_ = n;
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
+  std::vector<VertexId> adj;
+  std::vector<EdgeId> adj_edge_ids;
+  adj.reserve(2 * edges.size());
+  adj_edge_ids.reserve(2 * edges.size());
+  for (VertexId v = 0; v < n; ++v) {
+    for (std::uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+      const EdgeId id = new_id[adj_edge_ids_[i]];
+      if (id == kInvalidEdge) continue;
+      adj.push_back(adj_[i]);
+      adj_edge_ids.push_back(id);
+    }
+    offsets[v + 1] = adj.size();
+    g.max_degree_ = std::max(
+        g.max_degree_, static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]));
+  }
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adj);
+  g.adj_edge_ids_ = std::move(adj_edge_ids);
+  g.edges_ = std::move(edges);
+  return g;
+}
+
 std::size_t Graph::MemoryBytes() const {
   return offsets_.size() * sizeof(std::uint64_t) +
          adj_.size() * sizeof(VertexId) +

@@ -87,6 +87,12 @@ class Graph {
 
   std::uint32_t max_degree() const { return max_degree_; }
 
+  /// The subgraph of the edges e with keep[e] != 0, over the same vertex-id
+  /// space. Kept edges stay in (u, v) order, so edge i of the result is the
+  /// i-th kept edge — exactly what Graph::FromEdges would build from them —
+  /// but in one linear pass over the CSR, with no sort.
+  Graph EdgeSubgraph(std::span<const std::uint8_t> keep) const;
+
   /// Raw CSR arrays, for algorithm kernels that operate on CSR views.
   std::span<const std::uint64_t> offsets() const { return offsets_.span(); }
   std::span<const VertexId> adjacency() const { return adj_.span(); }

@@ -8,9 +8,49 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace tsd {
+
+/// How KTrussPeel reached the t-truss, after Katana's KTrussStatistics.
+struct KTrussStatistics {
+  /// Edges of the t-truss.
+  std::uint64_t edges_left = 0;
+  /// Edges of the input outside the t-truss (m − edges_left).
+  std::uint64_t edges_pruned = 0;
+  /// Bulk rounds that dropped every edge below the support threshold at
+  /// once and recounted supports on the survivors (0: the frontier peel
+  /// did all the pruning).
+  std::uint32_t recount_rounds = 0;
+  /// Whether any support count ran the bitmap kernel.
+  bool bitmap_kernel = false;
+};
+
+/// The t-truss of a graph together with each of its edges' support inside
+/// it.
+struct KTruss {
+  /// Same vertex-id space and edge order as KTrussSubgraph(graph,
+  /// trussness, t).
+  Graph truss;
+  /// support[e] = triangles of `truss` containing its edge e.
+  std::vector<std::uint32_t> support;
+  KTrussStatistics stats;
+
+  /// Triangles of `truss` through v — the ego-network edge count m_v of
+  /// Lemma 2 on the truss. Every such triangle has two edges at v, so this
+  /// is Σ_{e∋v} support[e] / 2. O(deg(v)).
+  std::uint64_t TrianglesAt(VertexId v) const;
+};
+
+/// The t-truss of `graph` (t ≥ 2) without computing any trussness:
+/// supports from the global support stage, then bulk rounds that drop
+/// every edge with support < t−2 and recount while such edges are at
+/// least a quarter of the live edges, then a frontier-parallel peel at the
+/// single threshold t−2 (truss/parallel_truss.h's scatter). The t-truss is
+/// unique, so the result is identical at any thread count.
+KTruss KTrussPeel(const Graph& graph, std::uint32_t t,
+                  const ParallelConfig& config);
 
 /// Connected components of the k-truss of `graph`, given precomputed edge
 /// trussness. Each component is a sorted vertex list; components are sorted
@@ -25,7 +65,7 @@ std::vector<EdgeId> KTrussEdges(const Graph& graph,
                                 std::uint32_t k);
 
 /// The k-truss as a standalone graph (same vertex id space; non-k-truss
-/// edges dropped). Used for graph sparsification in Algorithm 4.
+/// edges dropped).
 Graph KTrussSubgraph(const Graph& graph,
                      const std::vector<std::uint32_t>& edge_trussness,
                      std::uint32_t k);

@@ -14,7 +14,8 @@
 // caller that only consumes trussness ≥ t may pass an explicit plan with
 // min_trussness = t; the derived state (vertex trussness, histogram) then
 // reflects the degraded sub-threshold values — see the min_trussness
-// contract in truss_plan.h.
+// contract in truss_plan.h. No library searcher passes such a floor any
+// more (a caller that needs one k-truss runs KTrussPeel, truss/k_truss.h).
 #pragma once
 
 #include <cstdint>

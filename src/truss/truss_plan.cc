@@ -53,8 +53,7 @@ GraphStatistics ComputeGraphStatistics(const Graph& graph) {
 }
 
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
-                                            std::uint32_t min_trussness,
-                                            const ParallelConfig& /*config*/) {
+                                            std::uint32_t min_trussness) {
   // A consumption floor above 2 makes the O(n + m) core prefilter worth its
   // price whenever the degree distribution is skewed: skew puts mass below
   // the floor's core bound, and every pruned edge skips its O(ρ) support
@@ -101,6 +100,16 @@ std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
   return support;
 }
 
+std::vector<std::uint32_t> PeelSupport(const Graph& graph,
+                                       const ParallelConfig& config,
+                                       bool* bitmap_kernel) {
+  *bitmap_kernel = BitmapSupportEligible(graph.num_vertices(),
+                                         graph.num_edges(), kBitmapBudgetBytes,
+                                         kGlobalBitmapDensityShift);
+  return *bitmap_kernel ? SupportViaBitmaps(graph, config)
+                        : ComputeSupport(graph, config);
+}
+
 }  // namespace internal
 
 namespace {
@@ -111,21 +120,12 @@ constexpr std::array<TrussPlanAlgorithm, 3> kTrussPlanAlgorithms = {
     TrussPlanAlgorithm::kAuto, TrussPlanAlgorithm::kBsp,
     TrussPlanAlgorithm::kCoreThenTruss};
 
-std::vector<std::uint32_t> SupportForPlan(const Graph& graph,
-                                          const ParallelConfig& config,
-                                          bool bitmap_kernel) {
-  return bitmap_kernel ? internal::SupportViaBitmaps(graph, config)
-                       : ComputeSupport(graph, config);
-}
-
 std::vector<std::uint32_t> RunPeel(const Graph& graph,
                                    const ParallelConfig& config,
                                    TrussPlanStats& stats) {
-  stats.bitmap_kernel = internal::BitmapSupportEligible(
-      graph.num_vertices(), graph.num_edges(), internal::kBitmapBudgetBytes,
-      internal::kGlobalBitmapDensityShift);
   return TrussnessFromSupport(
-      graph, SupportForPlan(graph, config, stats.bitmap_kernel), config);
+      graph, internal::PeelSupport(graph, config, &stats.bitmap_kernel),
+      config);
 }
 
 // CoreThenTruss: prune every edge whose Burkhardt bound
@@ -189,8 +189,7 @@ std::vector<std::uint32_t> TrussnessWithPlan(const Graph& graph,
   out.graph_stats = ComputeGraphStatistics(graph);
   out.algorithm =
       plan.algorithm() == TrussPlanAlgorithm::kAuto
-          ? ChooseTrussPlanAlgorithm(out.graph_stats, plan.min_trussness(),
-                                     config)
+          ? ChooseTrussPlanAlgorithm(out.graph_stats, plan.min_trussness())
           : plan.algorithm();
 
   if (out.algorithm == TrussPlanAlgorithm::kCoreThenTruss) {

@@ -24,12 +24,13 @@
 //
 // min_trussness contract: with min_trussness == 2 (the default) every plan
 // computes the full exact decomposition. A caller that only consumes edges
-// of trussness ≥ t (e.g. the bound searcher, which sparsifies to the
-// (k+1)-truss) may pass min_trussness = t; then CoreThenTruss prunes edges
-// whose core bound proves trussness < t and reports them with the trivial
-// trussness 2. Reported values are exact for every edge whose true
+// of trussness ≥ t may pass min_trussness = t; then CoreThenTruss prunes
+// edges whose core bound proves trussness < t and reports them with the
+// trivial trussness 2. Reported values are exact for every edge whose true
 // trussness is ≥ t, and provably below t (though possibly not exact)
-// otherwise.
+// otherwise. No library searcher passes a floor above 2 any more: the
+// bound searcher, which needs only the (k+1)-truss, peels it directly with
+// KTrussPeel (truss/k_truss.h).
 #pragma once
 
 #include <cstdint>
@@ -122,11 +123,9 @@ struct TrussPlanStats {
 
 /// The auto-tuner: deterministic pure function of the statistics and the
 /// consumption floor (CoreThenTruss when the floor is above 2 and the degree
-/// skew is at least 3, Bsp otherwise). Never returns kAuto. No rule depends
-/// on the thread budget in `config`.
+/// skew is at least 3, Bsp otherwise). Never returns kAuto.
 TrussPlanAlgorithm ChooseTrussPlanAlgorithm(const GraphStatistics& stats,
-                                            std::uint32_t min_trussness,
-                                            const ParallelConfig& config);
+                                            std::uint32_t min_trussness);
 
 /// Edge trussness of `graph` under `plan`. Bit-identical to
 /// PeelSupportToTrussness(graph, ComputeSupport(graph)) for every edge of
@@ -180,6 +179,14 @@ inline bool BitmapSupportEligible(std::uint64_t n, std::uint64_t m,
 /// BitmapSupportEligible holds.
 std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
                                              const ParallelConfig& config);
+
+/// The support stage every global peel starts from: SupportViaBitmaps
+/// when BitmapSupportEligible holds at the global density floor, merge
+/// intersection (ComputeSupport) otherwise. Sets `*bitmap_kernel` to the
+/// kernel that ran.
+std::vector<std::uint32_t> PeelSupport(const Graph& graph,
+                                       const ParallelConfig& config,
+                                       bool* bitmap_kernel);
 
 }  // namespace internal
 }  // namespace tsd

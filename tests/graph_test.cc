@@ -106,6 +106,35 @@ TEST(GraphTest, OffsetsSpanConsistent) {
   }
 }
 
+// The linear filter must build exactly the CSR that sorting the kept edges
+// through the builder builds, isolated and emptied vertices included.
+TEST(GraphTest, EdgeSubgraphMatchesRebuildFromKeptEdges) {
+  std::mt19937 rng(11);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (int i = 0; i < 400; ++i) edges.emplace_back(rng() % 60, rng() % 60);
+  const Graph g = Graph::FromEdges(edges, 64);
+  for (const unsigned keep_percent : {0u, 30u, 70u, 100u}) {
+    std::vector<std::uint8_t> keep(g.num_edges());
+    std::vector<std::pair<VertexId, VertexId>> kept;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      keep[e] = rng() % 100 < keep_percent ? 1 : 0;
+      if (keep[e]) kept.emplace_back(g.edge(e).u, g.edge(e).v);
+    }
+    const Graph expected = Graph::FromEdges(kept, g.num_vertices());
+    const Graph actual = g.EdgeSubgraph(keep);
+    const auto as_vector = [](auto span) {
+      return std::vector(span.begin(), span.end());
+    };
+    EXPECT_EQ(actual.num_vertices(), expected.num_vertices());
+    EXPECT_EQ(actual.max_degree(), expected.max_degree());
+    EXPECT_EQ(as_vector(actual.edges()), as_vector(expected.edges()));
+    EXPECT_EQ(as_vector(actual.offsets()), as_vector(expected.offsets()));
+    EXPECT_EQ(as_vector(actual.adjacency()), as_vector(expected.adjacency()));
+    EXPECT_EQ(as_vector(actual.adjacency_edge_ids()),
+              as_vector(expected.adjacency_edge_ids()));
+  }
+}
+
 // ---------------------------------------------------------------- I/O
 
 class EdgeListIoTest : public ::testing::Test {

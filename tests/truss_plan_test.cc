@@ -6,11 +6,14 @@
 // Also covers: CoreThenTruss prune soundness against an independently
 // recomputed core bound, auto-tuner determinism and decision table, the
 // bitmap support kernel, the plan knob threading
-// through QueryOptions into the searchers, and the ordered batch scan
-// (small total r) against the per-query reference.
+// through QueryOptions into the searchers, the ordered batch scan
+// (small total r) against the per-query reference, and the direct k-truss
+// peel (KTrussPeel) against the trussness-derived k-truss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "truss/core_decomposition.h"
+#include "truss/k_truss.h"
 #include "truss/peeling.h"
 #include "graph/triangle.h"
 #include "truss/truss_decomposition.h"
@@ -214,8 +218,8 @@ TEST(TrussPlanAutoTest, ResolutionAndResultAreDeterministic) {
     const GraphStatistics stats = ComputeGraphStatistics(g);
     for (const ParallelConfig& config : ThreadConfigs()) {
       const TrussPlanAlgorithm first =
-          ChooseTrussPlanAlgorithm(stats, 2, config);
-      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2, config), first);
+          ChooseTrussPlanAlgorithm(stats, 2);
+      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2), first);
       EXPECT_NE(first, TrussPlanAlgorithm::kAuto);
       TrussPlanStats run1;
       TrussPlanStats run2;
@@ -245,23 +249,22 @@ TEST(TrussPlanAutoTest, DecisionTable) {
   // The dense, low-skew Erdős–Rényi shape (n=5,000, m=500k).
   const GraphStatistics dense_even = stats_with(200.0, 1.26);
   for (const std::uint32_t threads : {1u, 4u, 8u}) {
-    const ParallelConfig config{threads, 0};
     const std::string label = "threads=" + std::to_string(threads);
     for (const GraphStatistics& stats : {skewed, even, dense_even}) {
-      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2, config),
+      EXPECT_EQ(ChooseTrussPlanAlgorithm(stats, 2),
                 TrussPlanAlgorithm::kBsp)
           << label;
     }
-    EXPECT_EQ(ChooseTrussPlanAlgorithm(skewed, 5, config),
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(skewed, 5),
               TrussPlanAlgorithm::kCoreThenTruss)
         << label;
-    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 3.0), 3, config),
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 3.0), 3),
               TrussPlanAlgorithm::kCoreThenTruss)
         << label;
-    EXPECT_EQ(ChooseTrussPlanAlgorithm(even, 5, config),
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(even, 5),
               TrussPlanAlgorithm::kBsp)
         << label;
-    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 2.99), 3, config),
+    EXPECT_EQ(ChooseTrussPlanAlgorithm(stats_with(8.0, 2.99), 3),
               TrussPlanAlgorithm::kBsp)
         << label;
   }
@@ -316,6 +319,102 @@ TEST(BitmapSupportKernelTest, EligibilityRule) {
   // n bitmaps of n bits must fit the budget.
   EXPECT_FALSE(
       internal::BitmapSupportEligible(100, 5000, /*budget_bytes=*/100, 6));
+}
+
+// ------------------------------------------------ direct k-truss peel
+
+// Disjoint 5-cliques, each with a fan of degree-2 vertices on one clique
+// edge: every fan edge has support 1, so at t = 4 the first frontier holds
+// all 4,200 of them — above the 512-edges-per-worker threaded scatter
+// threshold at 8 threads — yet under a quarter of the 24,200 live edges,
+// so the bulk recount does not take them. Each fan triangle's clique edge
+// loses one triangle per fan vertex, applied from several workers.
+Graph LargeFrontierGraph() {
+  constexpr VertexId kCliques = 2000;
+  constexpr VertexId kFanVertices = 2100;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId c = 0; c < kCliques; ++c) {
+    for (VertexId i = 0; i < 5; ++i) {
+      for (VertexId j = i + 1; j < 5; ++j) {
+        edges.emplace_back(5 * c + i, 5 * c + j);
+      }
+    }
+  }
+  for (VertexId f = 0; f < kFanVertices; ++f) {
+    const VertexId x = 5 * kCliques + f;
+    const VertexId clique = f % kCliques;
+    edges.emplace_back(x, 5 * clique);
+    edges.emplace_back(x, 5 * clique + 1);
+  }
+  return Graph::FromEdges(std::move(edges));
+}
+
+template <typename T>
+std::vector<T> AsVector(std::span<const T> values) {
+  return std::vector<T>(values.begin(), values.end());
+}
+
+// For every t in [2, τ*+1], at 1/2/8 threads: the peel's graph is exactly
+// KTrussSubgraph of the full decomposition (same edge order, same CSR),
+// its supports are the truss's own supports, and the m_v it derives from
+// them are the truss's per-vertex triangle counts.
+TEST(KTrussPeelDifferentialTest, MatchesTrussnessDerivedSubgraph) {
+  std::vector<GraphCase> cases = TestGraphs();
+  cases.push_back({"dense_er_bitmap", ErdosRenyi(300, 8000, 9)});
+  cases.push_back({"large_frontier", LargeFrontierGraph()});
+  bool saw_recount = false;
+  bool saw_peel_only = false;
+  for (const GraphCase& test_case : cases) {
+    const Graph& g = test_case.graph;
+    const std::vector<std::uint32_t> trussness = SequentialTrussness(g);
+    std::uint32_t max_trussness = 2;
+    for (const std::uint32_t tau : trussness) {
+      max_trussness = std::max(max_trussness, tau);
+    }
+    for (std::uint32_t t = 2; t <= max_trussness + 1; ++t) {
+      const Graph expected = KTrussSubgraph(g, trussness, t);
+      const std::vector<std::uint32_t> expected_support =
+          ComputeSupport(expected);
+      const std::vector<std::uint64_t> expected_triangles =
+          TrianglesPerVertex(expected);
+      for (const std::uint32_t threads : {1u, 2u, 8u}) {
+        const std::string label = test_case.name + " t=" + std::to_string(t) +
+                                  " threads=" + std::to_string(threads);
+        const KTruss peeled = KTrussPeel(g, t, ParallelConfig{threads, 0});
+        ASSERT_EQ(peeled.truss.num_vertices(), g.num_vertices()) << label;
+        ASSERT_EQ(AsVector(peeled.truss.edges()), AsVector(expected.edges()))
+            << label;
+        EXPECT_EQ(AsVector(peeled.truss.offsets()),
+                  AsVector(expected.offsets()))
+            << label;
+        EXPECT_EQ(AsVector(peeled.truss.adjacency_edge_ids()),
+                  AsVector(expected.adjacency_edge_ids()))
+            << label;
+        EXPECT_EQ(peeled.support, expected_support) << label;
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          ASSERT_EQ(peeled.TrianglesAt(v), expected_triangles[v])
+              << label << " v=" << v;
+        }
+        EXPECT_EQ(peeled.stats.edges_left, expected.num_edges()) << label;
+        EXPECT_EQ(peeled.stats.edges_pruned,
+                  g.num_edges() - expected.num_edges())
+            << label;
+        if (test_case.name == "dense_er_bitmap") {
+          EXPECT_TRUE(peeled.stats.bitmap_kernel) << label;
+        }
+        if (test_case.name == "large_frontier" && t == 4) {
+          // The whole fan goes in one threaded frontier, no recount.
+          EXPECT_EQ(peeled.stats.recount_rounds, 0u) << label;
+          EXPECT_EQ(peeled.stats.edges_pruned, 4200u) << label;
+        }
+        saw_recount = saw_recount || peeled.stats.recount_rounds > 0;
+        saw_peel_only = saw_peel_only || (peeled.stats.recount_rounds == 0 &&
+                                          peeled.stats.edges_pruned > 0);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_recount);
+  EXPECT_TRUE(saw_peel_only);
 }
 
 // ------------------------------------------------ searcher integration

@@ -128,21 +128,31 @@ int Usage() {
       "back to rebuilding from the edge list. Output is byte-identical\n"
       "either way.\n"
       "--threads=N runs the query pipeline on N workers — including the\n"
-      "preprocessing stages: the global truss decomposition behind stats and\n"
-      "the bound method, triangle counting, and index construction (build).\n"
+      "preprocessing stages: the global truss decomposition behind stats,\n"
+      "the bound method's k-truss peel, triangle counting, and index\n"
+      "construction (build).\n"
       "Output is identical at any thread count; --chunks=M tunes load\n"
       "balancing. Results go to stdout, diagnostics to stderr.\n"
       "--plan={auto,bsp,core-truss} picks the truss-decomposition kernel\n"
-      "those preprocessing stages run (e.g. `tsdtool stats g.txt\n"
-      "--plan=core-truss`, `tsdtool topr g.txt --method=bound --plan=bsp`).\n"
+      "of stats (e.g. `tsdtool stats g.txt --plan=core-truss`).\n"
       "Every plan produces bit-identical trussness — auto picks from the\n"
-      "tuner statistics that `stats` prints; core-truss prunes core-bounded\n"
-      "edges before triangle counting when a query needs only trussness>=k.\n";
+      "tuner statistics that `stats` prints. The bound method computes no\n"
+      "trussness: it peels the (k+1)-truss directly, so --plan does not\n"
+      "affect it.\n";
   return 2;
 }
 
+/// ", edges pruned: N of M" for the bound method, whose sparsification
+/// drops the edges outside the (k+1)-truss; empty for every other method.
+std::string PrunedEdgesNote(const DiversitySearcher& searcher,
+                            const SearchStats& stats, const Graph& g) {
+  if (searcher.name() != "bound") return "";
+  return ", edges pruned: " + std::to_string(stats.edges_pruned) + " of " +
+         std::to_string(g.num_edges());
+}
+
 void PrintTopR(const TopRResult& result, bool contexts,
-               bool with_stats = true) {
+               bool with_stats = true, const std::string& space_note = "") {
   TablePrinter table({"rank", "vertex", "score"});
   for (std::size_t i = 0; i < result.entries.size(); ++i) {
     table.Row(std::uint64_t{i + 1}, std::uint64_t{result.entries[i].vertex},
@@ -166,7 +176,8 @@ void PrintTopR(const TopRResult& result, bool contexts,
   // across runs and thread counts.
   if (with_stats) {
     std::cerr << "search space: " << result.stats.vertices_scored
-              << " vertices, threads: " << result.stats.threads_used
+              << " vertices" << space_note
+              << ", threads: " << result.stats.threads_used
               << ", time: " << HumanSeconds(result.stats.total_seconds)
               << "\n";
   }
@@ -346,9 +357,10 @@ int RunTopR(GraphSource& source, const Flags& flags) {
   holder.active->set_query_options(QueryOptionsFromFlags(flags));
   std::cout << "method: " << holder.active->name() << " k=" << k
             << " r=" << r << "\n";
-  PrintTopR(
-      holder.active->TopR(std::min<std::uint32_t>(r, g.num_vertices()), k),
-      flags.GetBool("contexts", false));
+  const TopRResult result =
+      holder.active->TopR(std::min<std::uint32_t>(r, g.num_vertices()), k);
+  PrintTopR(result, flags.GetBool("contexts", false), /*with_stats=*/true,
+            PrunedEdgesNote(*holder.active, result.stats, g));
   return 0;
 }
 
@@ -405,8 +417,9 @@ int RunBatch(GraphSource& source, const Flags& flags) {
       scanned = results[0].stats.vertices_scored;
       seconds = results[0].stats.total_seconds;
     }
-    std::cerr << "batch search space: " << scanned
-              << " vertices, threads: " << results[0].stats.threads_used
+    std::cerr << "batch search space: " << scanned << " vertices"
+              << PrunedEdgesNote(*holder.active, results[0].stats, g)
+              << ", threads: " << results[0].stats.threads_used
               << ", time: " << HumanSeconds(seconds) << "\n";
   }
   return 0;
