@@ -30,7 +30,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "core/dynamic_tsd_index.h"
-#include "core/query_scratch.h"
 #include "core/query_session.h"
 #include "server/live_index.h"
 
@@ -106,7 +105,6 @@ int Run(int argc, char** argv) {
   for (std::uint32_t t = 0; t < readers; ++t) {
     pool.emplace_back([&, t] {
       Rng rng(1000 + t);
-      IndexQueryScratch scratch;
       QuerySession session;
       while (!stop.load(std::memory_order_relaxed)) {
         const auto v = static_cast<VertexId>(rng.Uniform(n));
@@ -114,7 +112,7 @@ int Run(int argc, char** argv) {
         if (rng.Uniform(16) == 0) {
           index.TopR(10, k, session);
         } else {
-          index.Score(v, k, scratch);
+          index.Score(v, k);
         }
         queries.fetch_add(1, std::memory_order_relaxed);
       }

@@ -35,6 +35,7 @@ class PipelineRearm {
 
 std::uint32_t BoundSearcher::UpperBound(std::uint32_t degree,
                                         std::uint64_t m_v, std::uint32_t k) {
+  TSD_CHECK(k >= 2);
   const std::uint64_t min_context_edges =
       static_cast<std::uint64_t>(k) * (k - 1) / 2;
   const std::uint64_t by_vertices = degree / k;

@@ -61,7 +61,7 @@ class BoundSearcher : public DiversitySearcher {
   /// The Lemma 2 upper bound of one vertex with degree `degree` and `m_v`
   /// ego edges. `m_v` is 64-bit (a dense hub's ego edge count overflows 32
   /// bits) and the division happens before any narrowing, so the bound
-  /// never wraps.
+  /// never wraps. Requires k ≥ 2 (checked).
   static std::uint32_t UpperBound(std::uint32_t degree, std::uint64_t m_v,
                                   std::uint32_t k);
 

@@ -59,21 +59,31 @@ void DynamicTsdIndex::RebuildVertex(VertexId v) {
   ExtractEgo(v, &maint_ego_);
   maint_decomposer_.ComputeInto(maint_ego_, &maint_trussness_);
 
-  maint_forest_.clear();
+  maint_u_.clear();
+  maint_v_.clear();
+  maint_weight_.clear();
   internal::MaximumSpanningForest(
       maint_ego_, maint_trussness_, maint_dsu_,
       [&](VertexId gu, VertexId gv, std::uint32_t w) {
-        maint_forest_.insert(maint_forest_.end(), {gu, gv, w});
+        maint_u_.push_back(gu);
+        maint_v_.push_back(gv);
+        maint_weight_.push_back(w);
       });
-  // Pack the triples into the slice's u | v | weight layout, sized exactly.
+  const VertexId universe = graph_.num_vertices();
+  maint_level_.clear();
+  maint_level_score_.clear();
+  forest::AppendScoreProfile(universe, maint_u_, maint_v_, maint_weight_,
+                             maint_ids_, &maint_level_, &maint_level_score_);
+
+  // Pack the columns into the slice's one allocation, sized exactly.
   auto* slice = new ForestSlice;
-  slice->universe = graph_.num_vertices();
-  const std::size_t m = maint_forest_.size() / 3;
-  slice->packed.resize(3 * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t field = 0; field < 3; ++field) {
-      slice->packed[field * m + i] = maint_forest_[3 * i + field];
-    }
+  slice->universe = universe;
+  slice->num_edges = static_cast<std::uint32_t>(maint_weight_.size());
+  slice->packed.reserve(3 * maint_weight_.size() + 2 * maint_level_.size());
+  for (const std::vector<std::uint32_t>* column :
+       {&maint_u_, &maint_v_, &maint_weight_, &maint_level_,
+        &maint_level_score_}) {
+    slice->packed.insert(slice->packed.end(), column->begin(), column->end());
   }
 
   // Publish the fresh slice; the displaced one stays readable until its
@@ -153,10 +163,9 @@ VertexId DynamicTsdIndex::AddVertex() {
   return v;
 }
 
-std::uint32_t DynamicTsdIndex::Score(VertexId v, std::uint32_t k,
-                                     IndexQueryScratch& scratch) const {
+std::uint32_t DynamicTsdIndex::Score(VertexId v, std::uint32_t k) const {
   EpochGuard guard(epochs_);
-  return forest::Score(SliceOf(CurrentView(), v), k, scratch);
+  return forest::Score(SliceOf(CurrentView(), v), k);
 }
 
 ScoreResult DynamicTsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
@@ -199,11 +208,18 @@ TsdIndex DynamicTsdIndex::Freeze() const {
   std::vector<VertexId> edge_u;
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
+  std::vector<std::uint64_t> level_offsets(std::size_t{n} + 1, 0);
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> level_score;
   for (VertexId v = 0; v < n; ++v) {
     const ForestSliceView slice = SliceOf(view, v);
     edge_u.insert(edge_u.end(), slice.u.begin(), slice.u.end());
     edge_v.insert(edge_v.end(), slice.v.begin(), slice.v.end());
     weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
+    level.insert(level.end(), slice.level.begin(), slice.level.end());
+    level_score.insert(level_score.end(), slice.level_score.begin(),
+                       slice.level_score.end());
+    level_offsets[v + 1] = level.size();
     // Weights are sorted descending, so the first is the slice's maximum.
     if (!slice.weight.empty()) {
       index.max_weight_ = std::max(index.max_weight_, slice.weight.front());
@@ -214,6 +230,9 @@ TsdIndex DynamicTsdIndex::Freeze() const {
   index.edge_u_ = std::move(edge_u);
   index.edge_v_ = std::move(edge_v);
   index.weight_ = std::move(weight);
+  index.level_offsets_ = std::move(level_offsets);
+  index.level_ = std::move(level);
+  index.level_score_ = std::move(level_score);
   return index;
 }
 

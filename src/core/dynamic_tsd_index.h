@@ -88,15 +88,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   VertexId AddVertex();
 
   /// Per-vertex kernels of core/forest_slice.h over v's current slice, each
-  /// under its own epoch pin. The scratch overloads are allocation-free in
-  /// the steady state; the convenience overloads allocate a throwaway
-  /// scratch per call.
-  std::uint32_t Score(VertexId v, std::uint32_t k,
-                      IndexQueryScratch& scratch) const;
-  std::uint32_t Score(VertexId v, std::uint32_t k) const {
-    IndexQueryScratch scratch;
-    return Score(v, k, scratch);
-  }
+  /// under its own epoch pin. Score is allocation-free; the scratch
+  /// overload of ScoreWithContexts is allocation-free in the steady state,
+  /// the convenience overload allocates a throwaway scratch per call.
+  std::uint32_t Score(VertexId v, std::uint32_t k) const;
 
   /// Score plus materialized social contexts.
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k,
@@ -140,9 +135,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   TsdIndex Freeze() const;
 
  private:
-  /// One vertex's maximum-spanning-forest, immutable once published. The
-  /// u, v and weight arrays share one allocation, so a slice costs the
-  /// same number of allocations as a single vector.
+  /// One vertex's maximum-spanning-forest and its score profile, immutable
+  /// once published. The u, v, weight, level and level_score arrays share
+  /// one allocation, so a slice costs the same number of allocations as a
+  /// single vector.
   /// `universe` is the vertex-count at build time: endpoint ids are all
   /// < universe, and query kernels size their dense scratch maps from it —
   /// NOT from the view's vertex count, because a reader holding an older
@@ -150,12 +146,21 @@ class DynamicTsdIndex : public DiversitySearcher {
   /// old view's range (slices and the view are published independently).
   struct ForestSlice {
     VertexId universe = 0;
-    std::vector<std::uint32_t> packed;  // u[0..m) | v[0..m) | weight[0..m)
+    std::uint32_t num_edges = 0;
+    // u[0..m) | v[0..m) | weight[0..m) | level[0..l) | level_score[0..l),
+    // with m = num_edges and l = (packed.size() - 3m) / 2.
+    std::vector<std::uint32_t> packed;
 
     ForestSliceView view() const {
-      const std::size_t m = packed.size() / 3;
+      const std::size_t m = num_edges;
+      const std::size_t l = (packed.size() - 3 * m) / 2;
       const std::span<const std::uint32_t> all(packed);
-      return {universe, all.first(m), all.subspan(m, m), all.subspan(2 * m)};
+      return {universe,
+              all.first(m),
+              all.subspan(m, m),
+              all.subspan(2 * m, m),
+              all.subspan(3 * m, l),
+              all.subspan(3 * m + l, l)};
     }
   };
 
@@ -212,8 +217,14 @@ class DynamicTsdIndex : public DiversitySearcher {
   EgoTrussDecomposer maint_decomposer_ TSD_GUARDED_BY(updater_role_);
   std::vector<std::uint32_t> maint_trussness_ TSD_GUARDED_BY(updater_role_);
   DisjointSet maint_dsu_ TSD_GUARDED_BY(updater_role_);
-  // Forest edges as (u, v, weight) triples, before packing into a slice.
-  std::vector<std::uint32_t> maint_forest_ TSD_GUARDED_BY(updater_role_);
+  // Forest edges as u | v | weight columns and the score profile, before
+  // packing into a slice.
+  std::vector<std::uint32_t> maint_u_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_v_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_weight_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_level_ TSD_GUARDED_BY(updater_role_);
+  std::vector<std::uint32_t> maint_level_score_ TSD_GUARDED_BY(updater_role_);
+  DenseIdMap maint_ids_ TSD_GUARDED_BY(updater_role_);
 };
 
 }  // namespace tsd

@@ -4,20 +4,34 @@
 
 namespace tsd::forest {
 
-std::uint32_t Score(const ForestSliceView& slice, std::uint32_t k,
-                    IndexQueryScratch& scratch) {
-  TSD_CHECK(k >= 2);
-  // Count qualified edges and distinct endpoints; the forest property gives
-  // score = |endpoints| - |edges|.
-  scratch.ids.Begin(slice.universe);
-  std::uint32_t edges = 0;
-  for (std::size_t i = 0; i < slice.weight.size() && slice.weight[i] >= k;
-       ++i) {
-    ++edges;
-    scratch.ids.Insert(slice.u[i]);
-    scratch.ids.Insert(slice.v[i]);
+void AppendScoreProfile(VertexId universe, std::span<const VertexId> u,
+                        std::span<const VertexId> v,
+                        std::span<const std::uint32_t> weight, DenseIdMap& ids,
+                        std::vector<std::uint32_t>* level,
+                        std::vector<std::uint32_t>* level_score) {
+  // Count distinct endpoints level by level; the forest property gives
+  // score = |endpoints| - |edges| for every weight-≥k prefix.
+  ids.Begin(universe);
+  for (std::size_t i = 0; i < weight.size();) {
+    const std::uint32_t w = weight[i];
+    TSD_DCHECK(i == 0 || weight[i - 1] > w);
+    for (; i < weight.size() && weight[i] == w; ++i) {
+      ids.Insert(u[i]);
+      ids.Insert(v[i]);
+    }
+    level->push_back(w);
+    level_score->push_back(ids.size() - static_cast<std::uint32_t>(i));
   }
-  return scratch.ids.size() - edges;
+}
+
+std::uint32_t Score(const ForestSliceView& slice, std::uint32_t k) {
+  TSD_CHECK(k >= 2);
+  std::uint32_t score = 0;
+  for (std::size_t i = 0; i < slice.level.size() && slice.level[i] >= k;
+       ++i) {
+    score = slice.level_score[i];
+  }
+  return score;
 }
 
 ScoreResult ScoreWithContexts(const ForestSliceView& slice, std::uint32_t k,
@@ -66,23 +80,19 @@ ScoreResult ScoreWithContexts(const ForestSliceView& slice, std::uint32_t k,
 
 void ScoresForThresholds(const ForestSliceView& slice,
                          std::span<const std::uint32_t> thresholds,
-                         IndexQueryScratch& scratch, std::uint32_t* scores) {
-  scratch.ids.Begin(slice.universe);
+                         std::uint32_t* scores) {
   std::size_t i = 0;
   for (std::size_t t = 0; t < thresholds.size(); ++t) {
     const std::uint32_t k = thresholds[t];
     TSD_DCHECK(t == 0 || thresholds[t - 1] > k);
-    for (; i < slice.weight.size() && slice.weight[i] >= k; ++i) {
-      scratch.ids.Insert(slice.u[i]);
-      scratch.ids.Insert(slice.v[i]);
-    }
-    // i edges qualify at k.
-    scores[t] = scratch.ids.size() - static_cast<std::uint32_t>(i);
+    while (i < slice.level.size() && slice.level[i] >= k) ++i;
+    // Levels [0, i) qualify at k.
+    scores[t] = i == 0 ? 0 : slice.level_score[i - 1];
   }
 }
 
 std::uint32_t ScoreUpperBound(const ForestSliceView& slice, std::uint32_t k) {
-  TSD_DCHECK(k >= 2);
+  TSD_CHECK(k >= 2);
   const auto qualified = static_cast<std::uint32_t>(
       std::partition_point(slice.weight.begin(), slice.weight.end(),
                            [k](std::uint32_t w) { return w >= k; }) -

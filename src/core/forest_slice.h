@@ -4,15 +4,23 @@
 // Every TSD query reads one object per vertex v: the maximum spanning forest
 // of v's trussness-weighted ego-network, its edges sorted by weight
 // descending (core/tsd_index.h explains why the forest preserves every
-// score). TsdIndex stores the slices flattened into mapped-or-owned arrays;
-// DynamicTsdIndex keeps one immutable, epoch-protected slice per vertex.
-// Both hand the kernels and drivers below a ForestSliceView, so the two
-// indexes share one implementation of every query.
+// score), plus the slice's score profile. TsdIndex stores the slices
+// flattened into mapped-or-owned arrays; DynamicTsdIndex keeps one
+// immutable, epoch-protected slice per vertex. Both hand the kernels and
+// drivers below a ForestSliceView, so the two indexes share one
+// implementation of every query.
 //
-//   Score               — components of the weight-≥k forest prefix
-//                         (|endpoints| − |edges|, by the forest property).
-//   ScoreWithContexts   — the same prefix, materialized into contexts.
-//   ScoresForThresholds — one sweep scores every threshold of a batch.
+// The score profile is computed once per slice, by AppendScoreProfile, when
+// the slice is built (or, for a mapped TsdIndex, loaded): `level` holds the
+// slice's distinct weights in descending order and `level_score[i]` the
+// exact score at threshold level[i], |endpoints| − |edges| of the prefix of
+// edges with weight ≥ level[i] (by the forest property, its component
+// count). The score at any k is that of the smallest level ≥ k, or 0, so
+// the score kernels walk O(levels) and need no scratch.
+//
+//   Score               — the profile entry of the smallest level ≥ k.
+//   ScoreWithContexts   — the weight-≥k prefix, materialized into contexts.
+//   ScoresForThresholds — one profile walk scores every threshold of a batch.
 //   ScoreUpperBound     — s̃core = ⌊#(weight ≥ k) / (k−1)⌋ (Section 5.2).
 //
 // ForestTopR is the bound-ordered top-r scan with early termination;
@@ -39,33 +47,45 @@
 namespace tsd {
 
 /// One vertex's forest: parallel arrays of edge endpoints (global ids) and
-/// weights, weights sorted descending. Every endpoint is < `universe`, which
-/// sizes the kernels' dense scratch maps.
+/// weights, weights sorted descending, plus its score profile (parallel
+/// `level`, `level_score`; see the header comment). Every endpoint is <
+/// `universe`, which sizes the context kernel's dense scratch map.
 struct ForestSliceView {
   VertexId universe = 0;
   std::span<const VertexId> u;
   std::span<const VertexId> v;
   std::span<const std::uint32_t> weight;
+  std::span<const std::uint32_t> level;
+  std::span<const std::uint32_t> level_score;
 };
 
 namespace forest {
 
-/// Structural diversity score at threshold k (Algorithm 6). Allocation-free
-/// in the steady state.
-std::uint32_t Score(const ForestSliceView& slice, std::uint32_t k,
-                    IndexQueryScratch& scratch);
+/// Appends the score profile of the forest slice (u, v, weight) — weights
+/// sorted descending, endpoints < `universe` — to `level` and `level_score`.
+/// `ids` is reusable dedup scratch. Appends at most weight.size() levels.
+void AppendScoreProfile(VertexId universe, std::span<const VertexId> u,
+                        std::span<const VertexId> v,
+                        std::span<const std::uint32_t> weight, DenseIdMap& ids,
+                        std::vector<std::uint32_t>* level,
+                        std::vector<std::uint32_t>* level_score);
+
+/// Structural diversity score at threshold k (Algorithm 6), read off the
+/// score profile in O(levels).
+std::uint32_t Score(const ForestSliceView& slice, std::uint32_t k);
 
 /// Score plus the social contexts: each sorted, ordered by smallest member.
 ScoreResult ScoreWithContexts(const ForestSliceView& slice, std::uint32_t k,
                               IndexQueryScratch& scratch);
 
-/// Scores at every threshold of `thresholds` (strictly descending) in one
-/// sweep: the qualified prefix only grows as the threshold drops.
+/// Scores at every threshold of `thresholds` (strictly descending, each ≥ 2)
+/// in one walk of the score profile: the qualifying levels only grow as the
+/// threshold drops.
 void ScoresForThresholds(const ForestSliceView& slice,
                          std::span<const std::uint32_t> thresholds,
-                         IndexQueryScratch& scratch, std::uint32_t* scores);
+                         std::uint32_t* scores);
 
-/// The s̃core upper bound; always ≥ Score(slice, k).
+/// The s̃core upper bound; always ≥ Score(slice, k). Requires k ≥ 2.
 std::uint32_t ScoreUpperBound(const ForestSliceView& slice, std::uint32_t k);
 
 }  // namespace forest
@@ -100,8 +120,8 @@ TopRResult ForestTopR(std::uint32_t r, std::uint32_t k, VertexId n,
   {
     ScopedTimer t(&result.stats.score_seconds);
     result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace& ws, VertexId v) {
-          return forest::Score(slice_of(v), k, ws.index_scratch());
+        order, bounds, &collector, [&](QueryWorkspace&, VertexId v) {
+          return forest::Score(slice_of(v), k);
         });
   }
 
@@ -119,7 +139,7 @@ TopRResult ForestTopR(std::uint32_t r, std::uint32_t k, VertexId n,
   return result;
 }
 
-/// Batch top-r over vertices [0, n): one ScoresForThresholds sweep per
+/// Batch top-r over vertices [0, n): one ScoresForThresholds walk per
 /// vertex answers every query, and winners are grouped by vertex for the
 /// context phase. Entries are bit-identical to per-query ForestTopR.
 template <typename SliceOf>
@@ -136,10 +156,8 @@ std::vector<TopRResult> ForestSearchBatch(std::span<const BatchQuery> queries,
   {
     ScopedTimer t(&stats.score_seconds);
     stats.vertices_scored = runner.Scan(
-        pipeline, n,
-        [&](QueryWorkspace& ws, VertexId v, std::uint32_t* out) {
-          forest::ScoresForThresholds(slice_of(v), runner.thresholds(),
-                                      ws.index_scratch(), out);
+        pipeline, n, [&](QueryWorkspace&, VertexId v, std::uint32_t* out) {
+          forest::ScoresForThresholds(slice_of(v), runner.thresholds(), out);
         });
   }
 

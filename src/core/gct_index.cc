@@ -301,8 +301,8 @@ GctIndex GctIndex::Build(const Graph& graph, const Options& options) {
 }
 
 std::uint32_t GctIndex::Score(VertexId v, std::uint32_t k) const {
-  TSD_DCHECK(k >= 2);
-  TSD_DCHECK(v < num_vertices());
+  TSD_CHECK(k >= 2);
+  TSD_CHECK(v < num_vertices());
   // N_k: supernodes with trussness >= k (slice sorted descending).
   const auto sn_first = sn_tau_.begin() + sn_offsets_[v];
   const auto sn_last = sn_tau_.begin() + sn_offsets_[v + 1];

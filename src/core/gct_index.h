@@ -66,7 +66,8 @@ class GctIndex : public DiversitySearcher {
   static GctIndex Build(const Graph& graph, const Options& options);
   static GctIndex Build(const Graph& graph) { return Build(graph, Options()); }
 
-  /// score(v) at threshold k via Lemma 3 (two binary searches).
+  /// score(v) at threshold k via Lemma 3 (two binary searches). Requires
+  /// k ≥ 2 and v < num_vertices() (checked).
   std::uint32_t Score(VertexId v, std::uint32_t k) const;
 
   /// Largest supernode trussness at v (0 if v has no supernode): score(v, k)

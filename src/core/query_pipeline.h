@@ -61,8 +61,8 @@ class QueryWorkspace {
   EgoNetwork& ego() { return ego_; }
   EgoTrussDecomposer& decomposer() { return decomposer_; }
 
-  /// Reusable scratch for index score/context kernels (TSD endpoint dedup,
-  /// GCT context grouping) — no steady-state allocation across queries.
+  /// Reusable scratch for index context kernels (TSD and GCT context
+  /// grouping) — no steady-state allocation across queries.
   IndexQueryScratch& index_scratch() { return index_scratch_; }
 
   /// Reusable multi-threshold scorer for batch queries.

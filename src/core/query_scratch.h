@@ -78,7 +78,7 @@ class DenseIdMap {
 /// worker (owned by QueryWorkspace); all members grow to the query
 /// high-water mark and are reused.
 struct IndexQueryScratch {
-  DenseIdMap ids;                    // endpoint dedup / global→local map
+  DenseIdMap ids;                    // global→local id map
   DisjointSet dsu;                   // context connectivity
   std::vector<std::uint32_t> slots;  // root → context slot
 

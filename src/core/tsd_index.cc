@@ -26,13 +26,17 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Per-chunk build output: forest edge arrays plus per-vertex counts, so
-/// chunks concatenate in order into the final flat index.
+/// Per-chunk build output: forest edge and score-profile arrays plus
+/// per-vertex counts, so chunks concatenate in order into the final flat
+/// index.
 struct TsdChunk {
   std::vector<VertexId> edge_u;
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
   std::vector<std::uint32_t> per_vertex_count;
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> level_score;
+  std::vector<std::uint32_t> per_vertex_levels;
   std::uint32_t max_weight = 0;
   double extraction_seconds = 0;
   double decomposition_seconds = 0;
@@ -50,16 +54,22 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   std::vector<VertexId> edge_u;
   std::vector<VertexId> edge_v;
   std::vector<std::uint32_t> weight;
+  std::vector<std::uint64_t> level_offsets(std::size_t{n} + 1, 0);
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> level_score;
 
   const std::uint32_t num_chunks =
       EffectiveChunks(ParallelConfig{options.num_threads, 0}, n);
   std::vector<TsdChunk> chunks(num_chunks);
+  std::vector<DenseIdMap> worker_ids(options.num_threads);
 
-  ParallelForChunks(
+  ParallelForChunksIndexed(
       n, num_chunks, options.num_threads,
-      [&](std::uint32_t c, std::uint64_t begin, std::uint64_t end) {
+      [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
+          std::uint64_t end) {
         TsdChunk& chunk = chunks[c];
         chunk.per_vertex_count.reserve(end - begin);
+        chunk.per_vertex_levels.reserve(end - begin);
         EgoNetworkExtractor extractor(graph);
         EgoTrussDecomposer decomposer(options.method);
         EgoNetwork ego;
@@ -84,8 +94,16 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
                 chunk.weight.push_back(w);
                 chunk.max_weight = std::max(chunk.max_weight, w);
               });
-          chunk.per_vertex_count.push_back(
-              static_cast<std::uint32_t>(chunk.edge_u.size() - before));
+          const std::size_t count = chunk.edge_u.size() - before;
+          const std::size_t levels_before = chunk.level.size();
+          forest::AppendScoreProfile(
+              n, std::span(chunk.edge_u).subspan(before, count),
+              std::span(chunk.edge_v).subspan(before, count),
+              std::span(chunk.weight).subspan(before, count),
+              worker_ids[worker], &chunk.level, &chunk.level_score);
+          chunk.per_vertex_count.push_back(static_cast<std::uint32_t>(count));
+          chunk.per_vertex_levels.push_back(
+              static_cast<std::uint32_t>(chunk.level.size() - levels_before));
         }
       });
 
@@ -93,13 +111,16 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   // range, so concatenation preserves the per-vertex layout).
   VertexId v = 0;
   for (TsdChunk& chunk : chunks) {
-    for (std::uint32_t count : chunk.per_vertex_count) {
-      offsets[v + 1] = offsets[v] + count;
-      ++v;
+    for (std::size_t i = 0; i < chunk.per_vertex_count.size(); ++i, ++v) {
+      offsets[v + 1] = offsets[v] + chunk.per_vertex_count[i];
+      level_offsets[v + 1] = level_offsets[v] + chunk.per_vertex_levels[i];
     }
     edge_u.insert(edge_u.end(), chunk.edge_u.begin(), chunk.edge_u.end());
     edge_v.insert(edge_v.end(), chunk.edge_v.begin(), chunk.edge_v.end());
     weight.insert(weight.end(), chunk.weight.begin(), chunk.weight.end());
+    level.insert(level.end(), chunk.level.begin(), chunk.level.end());
+    level_score.insert(level_score.end(), chunk.level_score.begin(),
+                       chunk.level_score.end());
     index.max_weight_ = std::max(index.max_weight_, chunk.max_weight);
     index.build_stats_.extraction_seconds += chunk.extraction_seconds;
     index.build_stats_.decomposition_seconds += chunk.decomposition_seconds;
@@ -110,6 +131,9 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   index.edge_u_ = std::move(edge_u);
   index.edge_v_ = std::move(edge_v);
   index.weight_ = std::move(weight);
+  index.level_offsets_ = std::move(level_offsets);
+  index.level_ = std::move(level);
+  index.level_score_ = std::move(level_score);
   index.build_stats_.total_seconds = total.Seconds();
   return index;
 }
@@ -118,14 +142,18 @@ ForestSliceView TsdIndex::Slice(VertexId v) const {
   TSD_CHECK(v < num_vertices());
   const std::uint64_t begin = offsets_[v];
   const std::uint64_t count = offsets_[v + 1] - begin;
-  return {num_vertices(), edge_u_.span().subspan(begin, count),
+  const std::uint64_t level_begin = level_offsets_[v];
+  const std::uint64_t levels = level_offsets_[v + 1] - level_begin;
+  return {num_vertices(),
+          edge_u_.span().subspan(begin, count),
           edge_v_.span().subspan(begin, count),
-          weight_.span().subspan(begin, count)};
+          weight_.span().subspan(begin, count),
+          std::span(level_).subspan(level_begin, levels),
+          std::span(level_score_).subspan(level_begin, levels)};
 }
 
-std::uint32_t TsdIndex::Score(VertexId v, std::uint32_t k,
-                              IndexQueryScratch& scratch) const {
-  return forest::Score(Slice(v), k, scratch);
+std::uint32_t TsdIndex::Score(VertexId v, std::uint32_t k) const {
+  return forest::Score(Slice(v), k);
 }
 
 ScoreResult TsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
@@ -153,7 +181,10 @@ std::size_t TsdIndex::SizeBytes() const {
   return offsets_.size() * sizeof(std::uint64_t) +
          edge_u_.size() * sizeof(VertexId) +
          edge_v_.size() * sizeof(VertexId) +
-         weight_.size() * sizeof(std::uint32_t);
+         weight_.size() * sizeof(std::uint32_t) +
+         level_offsets_.size() * sizeof(std::uint64_t) +
+         level_.size() * sizeof(std::uint32_t) +
+         level_score_.size() * sizeof(std::uint32_t);
 }
 
 void TsdIndex::Save(const std::string& path) const {
@@ -217,6 +248,11 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
   if (offsets[0] != 0 || offsets[n] != total) {
     return Fail(error, "offsets do not span the forest arrays");
   }
+  // One pass validates every slice and derives its score profile.
+  std::vector<std::uint64_t> level_offsets(std::size_t{n} + 1, 0);
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> level_score;
+  DenseIdMap ids;
   std::uint32_t seen_max_weight = 0;
   for (VertexId v = 0; v < n; ++v) {
     if (offsets[v] > offsets[v + 1]) {
@@ -226,13 +262,20 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
       if (edge_u[i] >= n || edge_v[i] >= n) {
         return Fail(error, "forest endpoint out of range");
       }
-      // Per-slice weight order is what Score's early exit and
+      // Per-slice weight order is what the score profile and
       // ScoreUpperBound's partition_point rely on.
       if (i > offsets[v] && weight[i - 1] < weight[i]) {
         return Fail(error, "forest slice not sorted by weight descending");
       }
       seen_max_weight = std::max(seen_max_weight, weight[i]);
     }
+    const std::uint64_t begin = offsets[v];
+    const std::uint64_t count = offsets[v + 1] - begin;
+    forest::AppendScoreProfile(n, edge_u.subspan(begin, count),
+                               edge_v.subspan(begin, count),
+                               weight.subspan(begin, count), ids, &level,
+                               &level_score);
+    level_offsets[v + 1] = level.size();
   }
   if (seen_max_weight != max_weight) {
     return Fail(error, "max weight mismatch");
@@ -242,6 +285,9 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
   out->edge_u_.BindView(edge_u);
   out->edge_v_.BindView(edge_v);
   out->weight_.BindView(weight);
+  out->level_offsets_ = std::move(level_offsets);
+  out->level_ = std::move(level);
+  out->level_score_ = std::move(level_score);
   out->max_weight_ = max_weight;
   out->mapping_ = reader.mapping();
   return true;

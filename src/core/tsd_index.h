@@ -6,10 +6,13 @@
 // G_N(v) lie in the same maximal connected k-truss iff the forest connects
 // them through edges of weight ≥ k, so the forest preserves the full
 // structural diversity information of every ego-network in O(Σ_v n_v) ⊆
-// O(m) total space (Observations 2 and 3).
+// O(m) total space (Observations 2 and 3). Each slice's score profile
+// (core/forest_slice.h) keeps that bound: a slice has at most as many
+// levels as forest edges.
 //
 // Queries for any (k, r) run against the index alone:
-//   score(v)      — count components of the weight-≥k forest prefix.
+//   score(v)      — the components of the weight-≥k forest prefix, read off
+//                   v's score profile (precomputed per distinct weight).
 //   s̃core(v)     — ⌊(#forest edges of weight ≥ k) / (k-1)⌋, the TSD upper
 //                   bound used for top-r pruning (Section 5.2).
 //   TopR(r, k)    — bound-ordered scan with early termination.
@@ -21,6 +24,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/mmap_file.h"
 #include "common/snapshot.h"
@@ -61,15 +65,9 @@ class TsdIndex : public DiversitySearcher {
   static TsdIndex Build(const Graph& graph, const Options& options);
   static TsdIndex Build(const Graph& graph) { return Build(graph, Options()); }
 
-  /// Structural diversity score of v at threshold k, via Algorithm 6.
-  /// The scratch overload is allocation-free in the steady state; the
-  /// convenience overload allocates a throwaway scratch per call.
-  std::uint32_t Score(VertexId v, std::uint32_t k,
-                      IndexQueryScratch& scratch) const;
-  std::uint32_t Score(VertexId v, std::uint32_t k) const {
-    IndexQueryScratch scratch;
-    return Score(v, k, scratch);
-  }
+  /// Structural diversity score of v at threshold k, via Algorithm 6, read
+  /// off v's score profile. Allocation-free.
+  std::uint32_t Score(VertexId v, std::uint32_t k) const;
 
   /// Score plus materialized social contexts.
   ScoreResult ScoreWithContexts(VertexId v, std::uint32_t k,
@@ -80,6 +78,7 @@ class TsdIndex : public DiversitySearcher {
   }
 
   /// The s̃core(v) upper bound (Section 5.2). Always ≥ Score(v, k).
+  /// Requires k ≥ 2 (checked).
   std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
 
   using DiversitySearcher::SearchBatch;
@@ -107,7 +106,8 @@ class TsdIndex : public DiversitySearcher {
     return static_cast<VertexId>(offsets_.size() - 1);
   }
 
-  /// Serialized/in-memory index size in bytes (Table 3).
+  /// In-memory index size in bytes (Table 3): the forest arrays plus the
+  /// score profiles.
   std::size_t SizeBytes() const;
 
   IndexBuildStats build_stats() const { return build_stats_; }
@@ -122,11 +122,13 @@ class TsdIndex : public DiversitySearcher {
   static TsdIndex Load(const std::string& path);
 
   /// Writes the forest arrays into an open snapshot ("tsdx.*" tags), for
-  /// combined files that also carry the graph and/or other indexes.
+  /// combined files that also carry the graph and/or other indexes. The
+  /// score profiles are not written; loading derives them.
   void AppendToSnapshot(SnapshotWriter& writer) const;
 
   /// Binds an index to the "tsdx.*" sections of a mapped snapshot —
-  /// zero-copy, validated; false + `*error` on any inconsistency.
+  /// zero-copy, validated; false + `*error` on any inconsistency. The
+  /// score profiles are derived in the validation pass (owned memory).
   [[nodiscard]] static bool LoadFromSnapshot(const SnapshotReader& reader,
                                              TsdIndex* out,
                                              std::string* error);
@@ -146,6 +148,12 @@ class TsdIndex : public DiversitySearcher {
   FlatArray<VertexId> edge_u_;
   FlatArray<VertexId> edge_v_;
   FlatArray<std::uint32_t> weight_;
+  // Per-vertex score profiles (core/forest_slice.h), flattened the same
+  // way: v's levels are [level_offsets_[v], level_offsets_[v + 1]). Always
+  // owned; snapshots do not carry them.
+  std::vector<std::uint64_t> level_offsets_;  // size n+1
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint32_t> level_score_;
   std::uint32_t max_weight_ = 0;
   IndexBuildStats build_stats_;
   // Keeps the snapshot mapping alive while the arrays view into it.

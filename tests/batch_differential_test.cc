@@ -280,7 +280,7 @@ TEST(BatchWorkspaceReuseTest, RepeatedIndexQueriesDoNotGrowScratch) {
   auto run_all = [&] {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       for (std::uint32_t k : {2u, 3u, 4u}) {
-        tsd.Score(v, k, scratch);
+        tsd.Score(v, k);
         tsd.ScoreWithContexts(v, k, scratch);
         gct.ScoreWithContexts(v, k, scratch);
       }
@@ -305,7 +305,7 @@ TEST(BatchWorkspaceReuseTest, DynamicIndexQueriesDoNotGrowScratch) {
   auto run_all = [&] {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       for (std::uint32_t k : {2u, 3u, 4u}) {
-        dynamic.Score(v, k, scratch);
+        dynamic.Score(v, k);
         dynamic.ScoreWithContexts(v, k, scratch);
       }
     }

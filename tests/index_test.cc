@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "core/bound_search.h"
+#include "core/dynamic_tsd_index.h"
 #include "core/gct_index.h"
 #include "core/online_search.h"
 #include "core/tsd_index.h"
@@ -59,6 +60,18 @@ TEST(TsdIndexTest, UpperBoundDominatesScore) {
           << "v=" << v << " k=" << k;
     }
   }
+}
+
+// s̃core divides by k-1, so k < 2 must be rejected in every build mode rather
+// than divide by zero; the same holds for the dynamic index.
+TEST(TsdIndexTest, UpperBoundRejectsKBelowTwo) {
+  Graph g = PaperFigure1Graph();
+  TsdIndex index = TsdIndex::Build(g);
+  EXPECT_THROW(index.ScoreUpperBound(0, 1), CheckError);
+  EXPECT_THROW(index.Score(0, 1), CheckError);
+  DynamicTsdIndex dynamic(g);
+  EXPECT_THROW(dynamic.ScoreUpperBound(0, 1), CheckError);
+  EXPECT_THROW(dynamic.Score(0, 1), CheckError);
 }
 
 TEST(TsdIndexTest, TsdBoundTighterThanLemma2OnAverage) {
@@ -168,6 +181,16 @@ TEST(GctIndexTest, Figure1SupernodeStructure) {
   EXPECT_EQ(index.NumSuperedges(0), 1u);
   EXPECT_EQ(index.Score(0, 4), 3u);
   EXPECT_EQ(index.Score(0, 3), 2u);
+}
+
+// Score indexes the per-vertex offset arrays with v and assumes k ≥ 2, so
+// both are checked in every build mode rather than read out of bounds.
+TEST(GctIndexTest, ScoreRejectsOutOfRangeArguments) {
+  Graph g = PaperFigure1Graph();
+  GctIndex index = GctIndex::Build(g);
+  EXPECT_THROW(index.Score(0, 1), CheckError);
+  EXPECT_THROW(index.Score(g.num_vertices(), 2), CheckError);
+  EXPECT_THROW(index.Score(kInvalidVertex, 2), CheckError);
 }
 
 TEST(GctIndexTest, GctMuchSmallerThanTsdOnUniformContexts) {

@@ -165,7 +165,7 @@ TEST(LiveUpdateStressTest, ConcurrentReadersMatchRebuildAfterQuiescence) {
       while (!stop.load(std::memory_order_relaxed)) {
         const VertexId v = static_cast<VertexId>(rng.Uniform(n));
         const std::uint32_t k = kKs[rng.Uniform(std::size(kKs))];
-        const std::uint32_t score = index.Score(v, k, scratch);
+        const std::uint32_t score = index.Score(v, k);
         const ScoreResult full = index.ScoreWithContexts(v, k, scratch);
         // Per-call consistency: one pinned slice, one component per
         // context. (score and full.score may differ from each other — an
@@ -215,11 +215,9 @@ TEST(LiveUpdateStressTest, ConcurrentReadersMatchRebuildAfterQuiescence) {
   // Quiesced differential: bit-identical to a from-scratch build.
   const Graph final_graph = index.graph().ToGraph();
   const TsdIndex fresh = TsdIndex::Build(final_graph);
-  IndexQueryScratch scratch;
-  IndexQueryScratch fresh_scratch;
   for (VertexId v = 0; v < n; ++v) {
     for (std::uint32_t k : {2u, 3u, 4u}) {
-      ASSERT_EQ(index.Score(v, k, scratch), fresh.Score(v, k, fresh_scratch))
+      ASSERT_EQ(index.Score(v, k), fresh.Score(v, k))
           << "v=" << v << " k=" << k;
     }
   }

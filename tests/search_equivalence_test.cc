@@ -4,11 +4,17 @@
 // k, r) combination, and agree with the literal naive definition.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "common/check.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "core/baselines.h"
 #include "core/bound_search.h"
+#include "core/dynamic_tsd_index.h"
 #include "core/gct_index.h"
 #include "core/hybrid_search.h"
 #include "core/online_search.h"
@@ -99,8 +105,23 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Per-vertex score equivalence against the literal naive definition, for
-// every vertex and several k, on small graphs.
+// every vertex and every k from 2 to one past the largest forest weight
+// (thresholds between the score profile's levels and above all of them), on
+// small graphs. Every TSD score-profile producer is checked directly against
+// the definition: Build, snapshot load, the dynamic index after an update
+// stream, and its Freeze().
 class NaiveScoreTest : public ::testing::TestWithParam<int> {};
+
+// Expects `index`'s score and contexts at (v, k) to match the naive ones.
+template <typename Index>
+void ExpectMatchesNaive(const Index& index, const std::string& label,
+                        VertexId v, std::uint32_t k, std::uint32_t naive_score,
+                        const std::set<std::vector<VertexId>>& naive_set) {
+  EXPECT_EQ(index.Score(v, k), naive_score)
+      << label << " v=" << v << " k=" << k;
+  EXPECT_EQ(ContextSet(index.ScoreWithContexts(v, k).contexts), naive_set)
+      << label << " v=" << v << " k=" << k;
+}
 
 TEST_P(NaiveScoreTest, IndexScoresMatchNaiveDefinition) {
   const GraphCase test_case = TestGraphs()[GetParam()];
@@ -110,25 +131,62 @@ TEST_P(NaiveScoreTest, IndexScoresMatchNaiveDefinition) {
   TsdIndex tsd = TsdIndex::Build(g);
   GctIndex gct = GctIndex::Build(g);
   OnlineSearcher online(g);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("naive_score_" + test_case.name + ".snap"))
+          .string();
+  tsd.Save(path);
+  const TsdIndex loaded = TsdIndex::Load(path);
+  std::filesystem::remove(path);
 
-  for (std::uint32_t k : {2u, 3u, 4u, 5u}) {
+  for (std::uint32_t k = 2; k <= tsd.max_weight() + 1; ++k) {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       const auto [naive_score, naive_contexts] = testing::NaiveScore(g, v, k);
-      EXPECT_EQ(tsd.Score(v, k), naive_score)
-          << test_case.name << " TSD v=" << v << " k=" << k;
-      EXPECT_EQ(gct.Score(v, k), naive_score)
-          << test_case.name << " GCT v=" << v << " k=" << k;
-      const ScoreResult online_score = online.ScoreVertex(v, k, true);
-      EXPECT_EQ(online_score.score, naive_score)
-          << test_case.name << " online v=" << v << " k=" << k;
-
-      // Context sets must match the naive definition exactly.
       const auto naive_set =
           std::set<std::vector<VertexId>>(naive_contexts.begin(),
                                           naive_contexts.end());
-      EXPECT_EQ(ContextSet(online_score.contexts), naive_set);
-      EXPECT_EQ(ContextSet(tsd.ScoreWithContexts(v, k).contexts), naive_set);
-      EXPECT_EQ(ContextSet(gct.ScoreWithContexts(v, k).contexts), naive_set);
+      ExpectMatchesNaive(tsd, test_case.name + " TSD", v, k, naive_score,
+                         naive_set);
+      ExpectMatchesNaive(loaded, test_case.name + " TSD loaded", v, k,
+                         naive_score, naive_set);
+      ExpectMatchesNaive(gct, test_case.name + " GCT", v, k, naive_score,
+                         naive_set);
+      const ScoreResult online_score = online.ScoreVertex(v, k, true);
+      EXPECT_EQ(online_score.score, naive_score)
+          << test_case.name << " online v=" << v << " k=" << k;
+      EXPECT_EQ(ContextSet(online_score.contexts), naive_set)
+          << test_case.name << " online v=" << v << " k=" << k;
+    }
+  }
+
+  // A seeded stream of inserts of random pairs and removals of present
+  // edges; the dynamic index and its frozen copy are checked against the
+  // naive definition on the index's current graph.
+  DynamicTsdIndex dynamic(g);
+  Rng rng(Hash64(0x5eedULL, static_cast<std::uint64_t>(GetParam())));
+  const VertexId n = g.num_vertices();
+  for (int i = 0; i < 60; ++i) {
+    const auto u = static_cast<VertexId>(rng.Uniform(n));
+    const auto nbrs = dynamic.graph().neighbors(u);
+    if (rng.Uniform(3) == 0 && !nbrs.empty()) {
+      dynamic.RemoveEdge(u, nbrs[rng.Uniform(nbrs.size())]);
+    } else {
+      dynamic.InsertEdge(u, static_cast<VertexId>(rng.Uniform(n)));
+    }
+  }
+  const Graph current = dynamic.graph().ToGraph();
+  const TsdIndex frozen = dynamic.Freeze();
+  for (std::uint32_t k = 2; k <= frozen.max_weight() + 1; ++k) {
+    for (VertexId v = 0; v < n; ++v) {
+      const auto [naive_score, naive_contexts] =
+          testing::NaiveScore(current, v, k);
+      const auto naive_set =
+          std::set<std::vector<VertexId>>(naive_contexts.begin(),
+                                          naive_contexts.end());
+      ExpectMatchesNaive(dynamic, test_case.name + " dynamic", v, k,
+                         naive_score, naive_set);
+      ExpectMatchesNaive(frozen, test_case.name + " frozen", v, k,
+                         naive_score, naive_set);
     }
   }
 }
@@ -192,6 +250,14 @@ TEST(PaperExampleTest, Figure1UpperBounds) {
   // x1's bound is ⌊5/4⌋ = 1 in the Lemma 2 sense; the TSD bound is at least
   // as tight.
   EXPECT_LE(tsd.ScoreUpperBound(1, 4), 1u);
+}
+
+// The Lemma 2 bound divides by k(k-1)/2, so k < 2 must be rejected in every
+// build mode rather than divide by zero.
+TEST(PaperExampleTest, UpperBoundRejectsKBelowTwo) {
+  Graph g = PaperFigure1Graph();
+  EXPECT_THROW(BoundSearcher::UpperBound(g.degree(0), 10, 1), CheckError);
+  EXPECT_THROW(BoundSearcher::UpperBound(g.degree(0), 10, 0), CheckError);
 }
 
 }  // namespace
