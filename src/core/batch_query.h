@@ -53,11 +53,13 @@ class BatchQueryRunner {
 
   /// One deterministic pass over [0, num_candidates): `fn(ws, v, scores)`
   /// fills scores[t] for each t in [0, thresholds().size()); the runner
-  /// fans the per-threshold scores out to every query's collector. Returns
-  /// the number of vertices scanned.
-  template <typename ThresholdScoreFn>
+  /// fans the per-threshold scores out to every query's collector. The
+  /// optional `skip(v, collectors)` (collectors indexed like query()) is
+  /// ScoreRangeMulti's skip predicate. Returns the number of vertices
+  /// scored.
+  template <typename ThresholdScoreFn, typename SkipFn = ScoreEveryCandidate>
   std::uint64_t Scan(QueryPipeline& pipeline, VertexId num_candidates,
-                     ThresholdScoreFn&& fn) {
+                     ThresholdScoreFn&& fn, SkipFn&& skip = {}) {
     return pipeline.ScoreRangeMulti(
         num_candidates, collector_ptrs_,
         [this, &fn](QueryWorkspace& ws, VertexId v, std::uint32_t* scores) {
@@ -67,7 +69,8 @@ class BatchQueryRunner {
           for (std::size_t q = 0; q < queries_.size(); ++q) {
             scores[q] = per_k[k_index_[q]];
           }
-        });
+        },
+        std::forward<SkipFn>(skip));
   }
 
   /// Bound-ordered variant of Scan (the Algorithm 4 discipline for the

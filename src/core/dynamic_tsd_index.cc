@@ -93,6 +93,8 @@ void DynamicTsdIndex::RebuildVertex(VertexId v) {
   ForestView* view = view_.load(std::memory_order_relaxed);
   const ForestSlice* old = view->table->slots[v].load(std::memory_order_relaxed);
   view->table->slots[v].store(slice, std::memory_order_release);
+  view->table->ceilings[v].store(PackCeiling(forest::Ceiling(slice->view())),
+                                 std::memory_order_release);
   if (old != nullptr) epochs_.Retire(old);
 }
 
@@ -145,17 +147,22 @@ VertexId DynamicTsdIndex::AddVertex() {
 
   SliceTable* table = old_view->table;
   if (table->capacity < n) {
-    // Grow by copying the slice pointers into a bigger table. Readers on
-    // the old view keep using the old table (same slices), so only the
-    // table shell and the view are retired — never the shared slices.
+    // Grow by copying the slice pointers and ceilings into a bigger table.
+    // Readers on the old view keep using the old table (same slices), so
+    // only the table shell and the view are retired — never the shared
+    // slices.
     auto* grown = new SliceTable(std::max<std::size_t>(n, table->capacity * 2));
     for (VertexId i = 0; i < old_view->num_vertices; ++i) {
       grown->slots[i].store(table->slots[i].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
+      grown->ceilings[i].store(
+          table->ceilings[i].load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
     }
     table = grown;
   }
   table->slots[n - 1].store(slice, std::memory_order_relaxed);
+  table->ceilings[n - 1].store(PackCeiling({}), std::memory_order_relaxed);
   view_.store(new ForestView{n, table}, std::memory_order_release);
   if (table != old_view->table) epochs_.Retire(old_view->table);
   epochs_.Retire(old_view);
@@ -195,8 +202,10 @@ std::vector<TopRResult> DynamicTsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   EpochGuard guard(epochs_);
   const ForestView& view = CurrentView();
-  return ForestSearchBatch(queries, view.num_vertices, session,
-                           [&view](VertexId v) { return SliceOf(view, v); });
+  return ForestSearchBatch(
+      queries, view.num_vertices, session,
+      [&view](VertexId v) { return SliceOf(view, v); },
+      [&view](VertexId v) { return CeilingOf(view, v); });
 }
 
 TsdIndex DynamicTsdIndex::Freeze() const {
@@ -233,6 +242,7 @@ TsdIndex DynamicTsdIndex::Freeze() const {
   index.level_offsets_ = std::move(level_offsets);
   index.level_ = std::move(level);
   index.level_score_ = std::move(level_score);
+  index.DeriveCeilings();
   return index;
 }
 

@@ -28,7 +28,14 @@
 //    exclude queries.
 //  * A query that overlaps an update sees each affected vertex either
 //    before or after its rebuild (per-slice atomicity, not whole-update
-//    atomicity). Once an update returns and the updater quiesces, every
+//    atomicity). The batch sweep first reads v's score ceiling from a flat
+//    atomic array and skips v when no query can take it. RebuildVertex
+//    stores the new ceiling (release) after it publishes the new slice, so
+//    a reader that loads the new ceiling (acquire) then loads the new slice
+//    or a later one. A reader that loads the old ceiling and skips v acts
+//    as if it had read the old slice, which the old ceiling bounds. Either
+//    way v is seen before or after its rebuild, as above. Once an update
+//    returns and the updater quiesces, every
 //    subsequent query is bit-identical to a from-scratch rebuild of the
 //    current graph — the differential property the live-update harness
 //    asserts after every epoch.
@@ -164,14 +171,19 @@ class DynamicTsdIndex : public DiversitySearcher {
     }
   };
 
-  /// Atomic pointer array from vertex id to its current slice. Grown (as a
+  /// Atomic pointer array from vertex id to its current slice, plus the
+  /// parallel array of the slices' packed score ceilings. Grown (as a
   /// whole) only by AddVertex; individual slots are swapped by updates.
   struct SliceTable {
     explicit SliceTable(std::size_t cap)
         : capacity(cap),
-          slots(std::make_unique<std::atomic<const ForestSlice*>[]>(cap)) {}
+          slots(std::make_unique<std::atomic<const ForestSlice*>[]>(cap)),
+          ceilings(std::make_unique<std::atomic<std::uint64_t>[]>(cap)) {}
     std::size_t capacity;
     std::unique_ptr<std::atomic<const ForestSlice*>[]> slots;
+    // top_level << 32 | max_score, published after the slot (see the
+    // header comment).
+    std::unique_ptr<std::atomic<std::uint64_t>[]> ceilings;
   };
 
   /// The queryable state, published through one atomic pointer: a vertex
@@ -190,6 +202,18 @@ class DynamicTsdIndex : public DiversitySearcher {
   static ForestSliceView SliceOf(const ForestView& view, VertexId v) {
     TSD_CHECK(v < view.num_vertices);
     return view.table->slots[v].load(std::memory_order_acquire)->view();
+  }
+
+  static std::uint64_t PackCeiling(const ScoreCeiling& ceiling) {
+    return std::uint64_t{ceiling.top_level} << 32 | ceiling.max_score;
+  }
+
+  static ScoreCeiling CeilingOf(const ForestView& view, VertexId v) {
+    TSD_DCHECK(v < view.num_vertices);
+    const std::uint64_t packed =
+        view.table->ceilings[v].load(std::memory_order_acquire);
+    return {static_cast<std::uint32_t>(packed >> 32),
+            static_cast<std::uint32_t>(packed)};
   }
 
   // Update internals (serialized-updater side).

@@ -24,6 +24,12 @@ void AppendScoreProfile(VertexId universe, std::span<const VertexId> u,
   }
 }
 
+ScoreCeiling Ceiling(const ForestSliceView& slice) {
+  if (slice.level.empty()) return {};
+  return {slice.level.front(), *std::max_element(slice.level_score.begin(),
+                                                 slice.level_score.end())};
+}
+
 std::uint32_t Score(const ForestSliceView& slice, std::uint32_t k) {
   TSD_CHECK(k >= 2);
   std::uint32_t score = 0;

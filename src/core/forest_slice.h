@@ -23,10 +23,18 @@
 //   ScoresForThresholds — one profile walk scores every threshold of a batch.
 //   ScoreUpperBound     — s̃core = ⌊#(weight ≥ k) / (k−1)⌋ (Section 5.2).
 //
-// ForestTopR is the bound-ordered top-r scan with early termination;
-// ForestSearchBatch sweeps every slice once for all requested thresholds
-// and always scans the full range: a shared bound order measured slower on
-// the live-update workload and no workload gained from it.
+// Every slice also has a score ceiling: its top level and its largest
+// level score. The score is 0 above the top level and never exceeds the
+// largest level score, so the ceiling bounds the score at every k, and it
+// is small enough for both indexes to keep in a flat per-vertex array.
+//
+// ForestTopR is the bound-ordered top-r scan with early termination.
+// ForestSearchBatch sweeps the vertex range once for all requested
+// thresholds in id order. It reads each vertex's ceiling from the flat
+// array and touches the slice only if some query's collector could still
+// take it. A shared bound order measured slower on the live-update
+// workload, but the ceiling test needs no order: a skipped vertex ranks
+// below r already scored vertices of every query, so it is in no answer.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +67,17 @@ struct ForestSliceView {
   std::span<const std::uint32_t> level_score;
 };
 
+/// Upper bound on a slice's score at every threshold: at(k) = 0 above the
+/// slice's top level, else the largest score of its profile.
+struct ScoreCeiling {
+  std::uint32_t top_level = 0;  // level[0], or 0 for an empty slice
+  std::uint32_t max_score = 0;  // max of level_score, or 0
+
+  std::uint32_t At(std::uint32_t k) const {
+    return k > top_level ? 0 : max_score;
+  }
+};
+
 namespace forest {
 
 /// Appends the score profile of the forest slice (u, v, weight) — weights
@@ -69,6 +88,9 @@ void AppendScoreProfile(VertexId universe, std::span<const VertexId> u,
                         std::span<const std::uint32_t> weight, DenseIdMap& ids,
                         std::vector<std::uint32_t>* level,
                         std::vector<std::uint32_t>* level_score);
+
+/// The slice's score ceiling, read off its score profile.
+ScoreCeiling Ceiling(const ForestSliceView& slice);
 
 /// Structural diversity score at threshold k (Algorithm 6), read off the
 /// score profile in O(levels).
@@ -141,11 +163,15 @@ TopRResult ForestTopR(std::uint32_t r, std::uint32_t k, VertexId n,
 
 /// Batch top-r over vertices [0, n): one ScoresForThresholds walk per
 /// vertex answers every query, and winners are grouped by vertex for the
-/// context phase. Entries are bit-identical to per-query ForestTopR.
-template <typename SliceOf>
+/// context phase. `ceiling_of(v)` returns v's ScoreCeiling; a vertex whose
+/// ceiling no query's collector can take is skipped without reading its
+/// slice. Entries are bit-identical to per-query ForestTopR, and
+/// vertices_scored counts the slices read.
+template <typename SliceOf, typename CeilingOf>
 std::vector<TopRResult> ForestSearchBatch(std::span<const BatchQuery> queries,
                                           VertexId n, QuerySession& session,
-                                          SliceOf&& slice_of) {
+                                          SliceOf&& slice_of,
+                                          CeilingOf&& ceiling_of) {
   WallTimer total;
   std::vector<TopRResult> results(queries.size());
   if (queries.empty()) return results;
@@ -156,8 +182,18 @@ std::vector<TopRResult> ForestSearchBatch(std::span<const BatchQuery> queries,
   {
     ScopedTimer t(&stats.score_seconds);
     stats.vertices_scored = runner.Scan(
-        pipeline, n, [&](QueryWorkspace&, VertexId v, std::uint32_t* out) {
+        pipeline, n,
+        [&](QueryWorkspace&, VertexId v, std::uint32_t* out) {
           forest::ScoresForThresholds(slice_of(v), runner.thresholds(), out);
+        },
+        [&](VertexId v, std::span<const TopRCollector> collectors) {
+          const ScoreCeiling ceiling = ceiling_of(v);
+          for (std::size_t q = 0; q < collectors.size(); ++q) {
+            if (!collectors[q].CanPrune(ceiling.At(runner.query(q).k), v)) {
+              return false;
+            }
+          }
+          return true;
         });
   }
 

@@ -54,6 +54,14 @@ std::uint32_t QueryPipeline::ResolveChunks(std::uint64_t total) const {
   return EffectiveChunks(ToParallelConfig(options_), total);
 }
 
+std::uint32_t QueryPipeline::ResolveSkipScanChunks(std::uint64_t total) const {
+  // The thread count is left out on purpose: see ScoreRangeMulti.
+  const std::uint64_t chunks =
+      options_.num_chunks != 0 ? options_.num_chunks : kSkipScanChunks;
+  return static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, std::min(chunks, total)));
+}
+
 QueryPipeline::RoundRamp QueryPipeline::StartRamp(
     std::uint64_t total, std::uint64_t capacity) const {
   const std::uint64_t num_threads = options_.num_threads;

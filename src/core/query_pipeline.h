@@ -12,7 +12,10 @@
 // Determinism: the top-r answer set under the library-wide total order
 // (score desc, id asc) is unique, so per-worker collectors merged in worker
 // order yield rankings bit-identical to the sequential scan at any thread
-// count. Bound-ordered scans prune conservatively — a parallel round only
+// count. A range scan with a skip predicate keeps collectors per chunk
+// instead, over chunks fixed independently of the thread count, so even
+// its count of scored candidates is the same at every thread count.
+// Bound-ordered scans prune conservatively — a parallel round only
 // skips candidates the sequential scan would also have skipped — so
 // rankings match there too; only the number of exactly-scored candidates
 // (SearchStats::vertices_scored) can grow, because parallel rounds prune at
@@ -24,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,6 +41,15 @@
 #include "truss/ego_truss.h"
 
 namespace tsd {
+
+/// The default skip predicate of QueryPipeline::ScoreRangeMulti: scores
+/// every candidate.
+struct ScoreEveryCandidate {
+  bool operator()(VertexId /*v*/,
+                  std::span<const TopRCollector> /*collectors*/) const {
+    return false;
+  }
+};
 
 /// Per-worker scratch: everything a scoring kernel needs, reused across
 /// vertices and across queries. Not thread-safe; the pipeline hands each
@@ -161,10 +174,20 @@ class QueryPipeline {
   /// into collectors[q]. Because the top-r set under the total order is
   /// unique, each collector ends bit-identical to a dedicated ScoreRange
   /// pass offering the same per-vertex scores, at any thread count.
-  template <typename MultiScoreFn>
+  ///
+  /// `skip(v, locals)` may return true only if v cannot enter any of
+  /// `locals`, one collector per query in query order, each holding the
+  /// top of a set of candidates already scored; v is then neither scored
+  /// nor offered. Such a v ranks below r real answers of every query, so
+  /// entries do not change. With a skip predicate the range is split into
+  /// chunks that do not depend on the thread count. The first chunk runs
+  /// alone; every other chunk's collectors start as a copy of its answers.
+  /// So what `locals` holds, and the returned count of scored candidates,
+  /// do not depend on the thread count either.
+  template <typename MultiScoreFn, typename SkipFn = ScoreEveryCandidate>
   std::uint64_t ScoreRangeMulti(VertexId num_candidates,
                                 std::span<TopRCollector* const> collectors,
-                                MultiScoreFn&& fn);
+                                MultiScoreFn&& fn, SkipFn&& skip = {});
 
   /// Parallel per-vertex map `fn(workspace, v) -> std::uint32_t` into
   /// `(*out)[v]` for v in [0, num_candidates) — the bound-computation pass.
@@ -209,7 +232,13 @@ class QueryPipeline {
   /// collector holds `capacity` entries.
   RoundRamp StartRamp(std::uint64_t total, std::uint64_t capacity) const;
 
+  // Chunks of a ScoreRangeMulti scan with a skip predicate when --chunks is
+  // unset, at every thread count. The first chunk runs on one thread, so
+  // more chunks keep more of the scan parallel.
+  static constexpr std::uint32_t kSkipScanChunks = 16;
+
   std::uint32_t ResolveChunks(std::uint64_t total) const;
+  std::uint32_t ResolveSkipScanChunks(std::uint64_t total) const;
   void MergeInto(std::vector<TopRCollector>& locals,
                  TopRCollector* collector) const;
 
@@ -407,13 +436,15 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
   return scored;
 }
 
-template <typename MultiScoreFn>
+template <typename MultiScoreFn, typename SkipFn>
 std::uint64_t QueryPipeline::ScoreRangeMulti(
     VertexId num_candidates, std::span<TopRCollector* const> collectors,
-    MultiScoreFn&& fn) {
+    MultiScoreFn&& fn, SkipFn&& skip) {
   const std::size_t num_queries = collectors.size();
   if (num_queries == 0) return 0;
-  if (options_.num_threads == 1) {
+  constexpr bool kSkips =
+      !std::is_same_v<std::decay_t<SkipFn>, ScoreEveryCandidate>;
+  if (!kSkips && options_.num_threads == 1) {
     QueryWorkspace& ws = *workspaces_[0];
     std::vector<std::uint32_t> scores(num_queries);
     for (VertexId v = 0; v < num_candidates; ++v) {
@@ -425,37 +456,74 @@ std::uint64_t QueryPipeline::ScoreRangeMulti(
     return num_candidates;
   }
 
-  // One local collector per (worker, query); scores staged per worker.
-  std::vector<std::vector<TopRCollector>> locals(options_.num_threads);
-  std::vector<std::vector<std::uint32_t>> scores(options_.num_threads);
-  for (std::uint32_t t = 0; t < options_.num_threads; ++t) {
-    locals[t].reserve(num_queries);
+  // One local collector per (slot, query); scores staged per worker. A slot
+  // is a worker, or a chunk when skipping: a skip then depends only on the
+  // first chunk and its own, never on which worker ran which chunk.
+  const std::uint32_t num_chunks = kSkips
+                                       ? ResolveSkipScanChunks(num_candidates)
+                                       : ResolveChunks(num_candidates);
+  const std::uint32_t num_slots = kSkips ? num_chunks : options_.num_threads;
+  std::vector<std::vector<TopRCollector>> locals(num_slots);
+  for (std::vector<TopRCollector>& slot : locals) {
+    slot.reserve(num_queries);
     for (std::size_t q = 0; q < num_queries; ++q) {
-      locals[t].emplace_back(collectors[q]->capacity());
+      slot.emplace_back(collectors[q]->capacity());
     }
-    scores[t].resize(num_queries);
   }
-  ParallelForChunksIndexed(
-      num_candidates, ResolveChunks(num_candidates), options_.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        QueryWorkspace& ws = *workspaces_[worker];
-        for (std::uint64_t v = begin; v < end; ++v) {
-          fn(ws, static_cast<VertexId>(v), scores[worker].data());
-          for (std::size_t q = 0; q < num_queries; ++q) {
-            locals[worker][q].Offer(static_cast<VertexId>(v),
-                                    scores[worker][q]);
-          }
-        }
-      });
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::uint32_t t = 0; t < options_.num_threads; ++t) {
-      for (const auto& [vertex, score] : locals[t][q].TakeRanked()) {
+  std::vector<std::vector<std::uint32_t>> scores(options_.num_threads);
+  for (std::vector<std::uint32_t>& staged : scores) staged.resize(num_queries);
+  std::vector<std::uint64_t> scored(num_slots, 0);
+  const auto scan = [&](std::uint32_t worker, std::uint32_t slot,
+                        std::uint64_t begin, std::uint64_t end) {
+    QueryWorkspace& ws = *workspaces_[worker];
+    std::vector<TopRCollector>& local = locals[slot];
+    std::uint32_t* staged = scores[worker].data();
+    std::uint64_t count = 0;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const auto v = static_cast<VertexId>(i);
+      if (skip(v, std::span<const TopRCollector>(local))) continue;
+      fn(ws, v, staged);
+      for (std::size_t q = 0; q < num_queries; ++q) {
+        local[q].Offer(v, staged[q]);
+      }
+      ++count;
+    }
+    scored[slot] += count;
+  };
+  if constexpr (kSkips) {
+    // The first chunk runs alone, and every other chunk's collectors start
+    // from its answers, so the other chunks skip from their first
+    // candidate on instead of scoring until their own collectors fill.
+    const std::uint64_t first_end =
+        (std::uint64_t{num_candidates} + num_chunks - 1) / num_chunks;
+    scan(0, 0, 0, first_end);
+    for (std::uint32_t slot = 1; slot < num_slots; ++slot) {
+      locals[slot] = locals[0];
+    }
+    if (num_chunks > 1) {
+      ParallelForChunksIndexed(
+          num_candidates - first_end, num_chunks - 1, options_.num_threads,
+          [&](std::uint32_t worker, std::uint32_t chunk, std::uint64_t begin,
+              std::uint64_t end) {
+            scan(worker, chunk + 1, first_end + begin, first_end + end);
+          });
+    }
+  } else {
+    ParallelForChunksIndexed(
+        num_candidates, num_chunks, options_.num_threads,
+        [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
+            std::uint64_t end) { scan(worker, worker, begin, end); });
+  }
+  std::uint64_t total = 0;
+  for (std::uint32_t slot = 0; slot < num_slots; ++slot) {
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      for (const auto& [vertex, score] : locals[slot][q].TakeRanked()) {
         collectors[q]->Offer(vertex, score);
       }
     }
+    total += scored[slot];
   }
-  return num_candidates;
+  return total;
 }
 
 template <typename MapFn>

@@ -19,19 +19,26 @@ class TopRCollector {
  public:
   explicit TopRCollector(std::uint32_t r) : r_(r) { TSD_CHECK(r >= 1); }
 
-  /// Offers a candidate; returns true if it entered the top-r.
+  /// Offers a candidate; returns true if it entered the top-r. Offering a
+  /// pair the collector already holds changes nothing, so collectors that
+  /// share entries can be merged.
   bool Offer(VertexId vertex, std::uint32_t score) {
     if (entries_.size() < r_) {
-      entries_.insert({score, vertex});
+      if (!entries_.insert({score, vertex}).second) return false;
+      UpdateWorstKey();
       return true;
     }
     const auto worst = *entries_.begin();
-    if (RanksBefore(score, vertex, worst.first, worst.second)) {
-      entries_.erase(entries_.begin());
-      entries_.insert({score, vertex});
-      return true;
+    if (!RanksBefore(score, vertex, worst.first, worst.second) ||
+        entries_.contains({score, vertex})) {
+      return false;
     }
-    return false;
+    // The new pair takes over the worst entry's node.
+    auto node = entries_.extract(entries_.begin());
+    node.value() = {score, vertex};
+    entries_.insert(std::move(node));
+    UpdateWorstKey();
+    return true;
   }
 
   bool Full() const { return entries_.size() >= r_; }
@@ -58,9 +65,7 @@ class TopRCollector {
   /// bound has a larger id than the current worst (an equal-score candidate
   /// only wins the tie with a smaller id).
   bool CanPrune(std::uint32_t bound, VertexId candidate) const {
-    if (!Full()) return false;
-    if (bound < WorstScore()) return true;
-    return bound == WorstScore() && candidate > WorstId();
+    return RankKey(bound, candidate) < worst_key_;
   }
 
   /// Ranked (best-first) snapshot.
@@ -79,6 +84,7 @@ class TopRCollector {
   std::vector<std::pair<VertexId, std::uint32_t>> TakeRanked() {
     std::vector<std::pair<VertexId, std::uint32_t>> out = Ranked();
     entries_.clear();
+    worst_key_ = 0;
     return out;
   }
 
@@ -96,8 +102,23 @@ class TopRCollector {
     }
   };
 
+  // (score, vertex) as one integer that is larger the earlier the pair
+  // ranks: the score above the complemented id.
+  static std::uint64_t RankKey(std::uint32_t score, VertexId vertex) {
+    return std::uint64_t{score} << 32 | static_cast<std::uint32_t>(~vertex);
+  }
+
+  void UpdateWorstKey() {
+    if (Full()) {
+      worst_key_ = RankKey(entries_.begin()->first, entries_.begin()->second);
+    }
+  }
+
   std::uint32_t r_;
   std::set<std::pair<std::uint32_t, VertexId>, WorstFirst> entries_;
+  // RankKey of the r-th answer once full, else 0 (below every RankKey), so
+  // CanPrune is one comparison.
+  std::uint64_t worst_key_ = 0;
 };
 
 }  // namespace tsd

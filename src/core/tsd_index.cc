@@ -134,8 +134,16 @@ TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   index.level_offsets_ = std::move(level_offsets);
   index.level_ = std::move(level);
   index.level_score_ = std::move(level_score);
+  index.DeriveCeilings();
   index.build_stats_.total_seconds = total.Seconds();
   return index;
+}
+
+void TsdIndex::DeriveCeilings() {
+  ceilings_.resize(num_vertices());
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    ceilings_[v] = forest::Ceiling(Slice(v));
+  }
 }
 
 ForestSliceView TsdIndex::Slice(VertexId v) const {
@@ -173,8 +181,10 @@ TopRResult TsdIndex::TopR(std::uint32_t r, std::uint32_t k,
 
 std::vector<TopRResult> TsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
-  return ForestSearchBatch(queries, num_vertices(), session,
-                           [this](VertexId v) { return Slice(v); });
+  return ForestSearchBatch(
+      queries, num_vertices(), session,
+      [this](VertexId v) { return Slice(v); },
+      [this](VertexId v) { return ceilings_[v]; });
 }
 
 std::size_t TsdIndex::SizeBytes() const {
@@ -184,7 +194,8 @@ std::size_t TsdIndex::SizeBytes() const {
          weight_.size() * sizeof(std::uint32_t) +
          level_offsets_.size() * sizeof(std::uint64_t) +
          level_.size() * sizeof(std::uint32_t) +
-         level_score_.size() * sizeof(std::uint32_t);
+         level_score_.size() * sizeof(std::uint32_t) +
+         ceilings_.size() * sizeof(ScoreCeiling);
 }
 
 void TsdIndex::Save(const std::string& path) const {
@@ -288,6 +299,7 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
   out->level_offsets_ = std::move(level_offsets);
   out->level_ = std::move(level);
   out->level_score_ = std::move(level_score);
+  out->DeriveCeilings();
   out->max_weight_ = max_weight;
   out->mapping_ = reader.mapping();
   return true;

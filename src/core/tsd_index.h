@@ -89,9 +89,9 @@ class TsdIndex : public DiversitySearcher {
   TopRResult TopR(std::uint32_t r, std::uint32_t k,
                   QuerySession& session) const override;
 
-  /// Amortized batch path: one forest-slice sweep per vertex scores every
-  /// requested threshold over the full vertex range (bit-identical to
-  /// per-query TopR).
+  /// Amortized batch path: one sweep over the vertex range scores every
+  /// requested threshold, reading only the slices whose score ceiling some
+  /// query could still take (bit-identical to per-query TopR).
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -107,7 +107,7 @@ class TsdIndex : public DiversitySearcher {
   }
 
   /// In-memory index size in bytes (Table 3): the forest arrays plus the
-  /// score profiles.
+  /// score profiles and ceilings.
   std::size_t SizeBytes() const;
 
   IndexBuildStats build_stats() const { return build_stats_; }
@@ -142,6 +142,10 @@ class TsdIndex : public DiversitySearcher {
   /// v's forest slice as a view into the flat arrays (checks v's range).
   ForestSliceView Slice(VertexId v) const;
 
+  /// Fills ceilings_ from the score profiles; every path that sets the
+  /// profiles (Build, LoadFromSnapshot, DynamicTsdIndex::Freeze) ends here.
+  void DeriveCeilings();
+
   // Per-vertex forest edges, flattened; each vertex's slice is sorted by
   // weight descending. Endpoints are global vertex ids.
   FlatArray<std::uint64_t> offsets_;  // size n+1
@@ -154,6 +158,9 @@ class TsdIndex : public DiversitySearcher {
   std::vector<std::uint64_t> level_offsets_;  // size n+1
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> level_score_;
+  // Per-vertex score ceilings, derived from the profiles; the batch sweep
+  // reads them without touching the slices.
+  std::vector<ScoreCeiling> ceilings_;  // size n
   std::uint32_t max_weight_ = 0;
   IndexBuildStats build_stats_;
   // Keeps the snapshot mapping alive while the arrays view into it.

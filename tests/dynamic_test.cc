@@ -196,6 +196,62 @@ TEST(DynamicTsdIndexTest, AddVertexThenConnect) {
   EXPECT_EQ(dynamic.Score(nv, 4), 1u);
 }
 
+// Growing the slice table copies the slice pointers and their score
+// ceilings. A lost ceiling reads as 0, and the batch sweep would skip that
+// vertex once its collectors fill, so the batches below would differ.
+TEST(DynamicTsdIndexTest, BatchMatchesAfterTableGrowth) {
+  constexpr VertexId kInitial = 300;
+  Graph g = HolmeKim(kInitial, 4, 0.6, 47);
+  DynamicTsdIndex dynamic(g);
+  // The table starts with room for kInitial slices and doubles when full,
+  // so 400 new vertices grow it twice.
+  std::vector<VertexId> added;
+  for (int i = 0; i < 400; ++i) added.push_back(dynamic.AddVertex());
+  // Every 40th new vertex joins a 5-clique of old vertices, and the next
+  // five new vertices form a 5-clique, so new and old vertices compete for
+  // the top ranks.
+  for (std::size_t i = 0; i < added.size(); i += 40) {
+    const VertexId nv = added[i];
+    const auto base = static_cast<VertexId>((i * 7) % (kInitial - 5));
+    for (VertexId a = base; a < base + 5; ++a) {
+      for (VertexId b = a + 1; b < base + 5; ++b) dynamic.InsertEdge(a, b);
+      dynamic.InsertEdge(nv, a);
+    }
+    for (std::size_t a = i + 1; a < i + 6; ++a) {
+      for (std::size_t b = a + 1; b < i + 6; ++b) {
+        dynamic.InsertEdge(added[a], added[b]);
+      }
+    }
+  }
+  const TsdIndex frozen = dynamic.Freeze();
+  const TsdIndex fresh = TsdIndex::Build(dynamic.graph().ToGraph());
+  ASSERT_EQ(fresh.num_vertices(), kInitial + 400);
+  const std::vector<BatchQuery> queries = {
+      {2, 1}, {3, 5}, {4, 3}, {5, 1}, {3, 10}};
+  for (std::uint32_t threads : {1u, 2u, 8u}) {
+    QueryOptions options;
+    options.num_threads = threads;
+    QuerySession session(options);
+    const std::vector<TopRResult> actual =
+        dynamic.SearchBatch(queries, session);
+    const std::vector<TopRResult> from_freeze =
+        frozen.SearchBatch(queries, session);
+    const std::vector<TopRResult> from_build =
+        fresh.SearchBatch(queries, session);
+    ASSERT_EQ(actual.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " q=" + std::to_string(q);
+      test::ExpectSameEntries(from_freeze[q], actual[q], where + " freeze");
+      test::ExpectSameEntries(from_build[q], actual[q], where + " build");
+      // Per-query TopR reads no ceiling at all.
+      test::ExpectSameEntries(
+          fresh.TopR(queries[q].r, queries[q].k, session), actual[q],
+          where + " build TopR");
+    }
+  }
+}
+
 TEST(DynamicTsdIndexTest, TopRReportsPhaseTimings) {
   Graph g = HolmeKim(300, 5, 0.6, 37);
   DynamicTsdIndex dynamic(g);
@@ -221,6 +277,7 @@ void ExpectSameAsFrozen(const DynamicTsdIndex& dynamic,
   std::uint64_t total_r = 0;
   for (const BatchQuery& q : queries) total_r += q.r;
   ASSERT_LE(total_r * 64, frozen.num_vertices());
+  std::vector<std::uint64_t> batch_scored;  // one per thread count
   for (std::uint32_t threads : {1u, 2u, 8u}) {
     QueryOptions options;
     options.num_threads = threads;
@@ -246,6 +303,17 @@ void ExpectSameAsFrozen(const DynamicTsdIndex& dynamic,
                 expected[i].stats.vertices_scored)
           << where << " batch q=" << i;
     }
+    // The score ceilings must skip slices of this small-r batch on both
+    // indexes.
+    EXPECT_LT(expected[0].stats.vertices_scored, frozen.num_vertices())
+        << where;
+    EXPECT_LT(actual[0].stats.vertices_scored, frozen.num_vertices())
+        << where;
+    batch_scored.push_back(actual[0].stats.vertices_scored);
+  }
+  // The skips do not depend on the thread count.
+  for (std::uint64_t scored : batch_scored) {
+    EXPECT_EQ(scored, batch_scored.front()) << label;
   }
 }
 

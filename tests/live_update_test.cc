@@ -5,10 +5,11 @@
 //    shared ParseProtoLine; malformed update lines (and update lines handed
 //    to a parser with no update sink) classify as errors, never crash.
 //  * Raw concurrency — reader threads run Score / ScoreWithContexts / TopR
-//    against a DynamicTsdIndex with NO external locking while an updater
-//    thread streams randomized edge churn through LiveUpdateApplier. After
-//    the updater quiesces, every score and TopR reply must be bit-identical
-//    to a from-scratch TsdIndex::Build of the final graph. This is the
+//    / SearchBatch against a DynamicTsdIndex with NO external locking while
+//    an updater thread streams randomized edge churn through
+//    LiveUpdateApplier. After the updater quiesces, every score, TopR and
+//    SearchBatch reply must be bit-identical to a from-scratch
+//    TsdIndex::Build of the final graph. This is the
 //    sanitizer target: under TSan a reclamation or publication bug is a
 //    reported race, not a lucky pass.
 //  * Transport determinism — one text script with interleaved update lines
@@ -140,10 +141,35 @@ TEST(LiveUpdateApplierTest, CountersSplitAppliedAndNoops) {
 
 // --- raw concurrency: the sanitizer target --------------------------------
 
+/// A mixed batch for the racing readers: every k of {2, 3, 4} at r = 1
+/// and r = 5, so the batch sweep's ceiling skips run under the updater.
+std::vector<BatchQuery> MixedBatch() {
+  std::vector<BatchQuery> batch;
+  for (std::uint32_t k : {2u, 3u, 4u}) {
+    for (std::uint32_t r : {1u, 5u}) batch.push_back({k, r});
+  }
+  return batch;
+}
+
+/// Empty when `result` holds at most r entries in (score desc, id asc)
+/// order, else what is wrong.
+std::string RankingFault(const TopRResult& result, std::uint32_t r) {
+  if (result.entries.size() > r) return "overfilled";
+  for (std::size_t i = 1; i < result.entries.size(); ++i) {
+    const TopREntry& a = result.entries[i - 1];
+    const TopREntry& b = result.entries[i];
+    if (!RanksBefore(a.score, a.vertex, b.score, b.vertex)) {
+      return "out of order at rank " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
 /// Readers hammer the lock-free query paths while one updater streams
 /// randomized churn through the applier. Readers check only invariants that
 /// hold mid-flight (each call sees a consistent slice, so contexts count ==
-/// score); the bit-exact differential runs after quiescence.
+/// score; each batch reply is a well-formed ranking); the bit-exact
+/// differential runs after quiescence.
 TEST(LiveUpdateStressTest, ConcurrentReadersMatchRebuildAfterQuiescence) {
   const Graph g = HolmeKim(120, 4, 0.5, 7);
   const VertexId n = g.num_vertices();
@@ -179,6 +205,18 @@ TEST(LiveUpdateStressTest, ConcurrentReadersMatchRebuildAfterQuiescence) {
           if (top.entries.size() > 5) {
             failures[t] = "TopR overfilled";
             return;
+          }
+        }
+        if (rng.Uniform(8) == 0) {
+          const std::vector<BatchQuery> batch = MixedBatch();
+          const std::vector<TopRResult> replies =
+              index.SearchBatch(batch, session);
+          for (std::size_t q = 0; q < batch.size(); ++q) {
+            const std::string fault = RankingFault(replies[q], batch[q].r);
+            if (!fault.empty()) {
+              failures[t] = "SearchBatch q=" + std::to_string(q) + " " + fault;
+              return;
+            }
           }
         }
         (void)score;
@@ -229,6 +267,17 @@ TEST(LiveUpdateStressTest, ConcurrentReadersMatchRebuildAfterQuiescence) {
                         "post-quiesce k=" + std::to_string(k) +
                             " r=" + std::to_string(r));
     }
+  }
+  const std::vector<BatchQuery> batch = MixedBatch();
+  const std::vector<TopRResult> expected = fresh.SearchBatch(batch, session);
+  const std::vector<TopRResult> actual = index.SearchBatch(batch, session);
+  ASSERT_EQ(actual.size(), batch.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    const std::string label = "post-quiesce batch q=" + std::to_string(q);
+    ExpectSameEntries(expected[q], actual[q], label);
+    // Per-query TopR reads no ceiling at all.
+    ExpectSameEntries(fresh.TopR(batch[q].r, batch[q].k, session), actual[q],
+                      label + " vs TopR");
   }
 }
 

@@ -4,8 +4,11 @@
 // literal naive definition of the truss model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.h"
@@ -188,6 +191,83 @@ TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
     EXPECT_EQ(ranked[1].first, 1u);
     EXPECT_EQ(ranked[2].first, 2u);
   }
+}
+
+// ScoreRangeMulti with a skip predicate: the skip test runs against the
+// chunk's collectors, so entries match the skip-free scan, and the chunks
+// do not depend on the thread count, so neither does the scored count.
+TEST(QueryPipelineTest, SkipScanMatchesFullScanAtAnyThreadCount) {
+  constexpr VertexId kN = 5000;
+  const std::uint32_t capacities[] = {1, 4, 10};
+  // Two scores per vertex, uncorrelated with its id; the skip bound is the
+  // larger of the two, as one ceiling serves every query of a batch.
+  const auto score_of = [](VertexId v, std::size_t q) {
+    return static_cast<std::uint32_t>((v * 2654435761U >> (7 + 5 * q)) % 97);
+  };
+  const auto fn = [&](QueryWorkspace&, VertexId v, std::uint32_t* scores) {
+    for (std::size_t q = 0; q < std::size(capacities); ++q) {
+      scores[q] = score_of(v, q % 2);
+    }
+  };
+  const auto skip = [&](VertexId v, std::span<const TopRCollector> locals) {
+    const std::uint32_t bound = std::max(score_of(v, 0), score_of(v, 1));
+    for (const TopRCollector& local : locals) {
+      if (!local.CanPrune(bound, v)) return false;
+    }
+    return true;
+  };
+  const auto run = [&](std::uint32_t threads, std::uint32_t chunks,
+                       bool with_skip, std::uint64_t* scored) {
+    QueryOptions options;
+    options.num_threads = threads;
+    options.num_chunks = chunks;
+    QueryPipeline pipeline(options);
+    std::vector<TopRCollector> collectors;
+    for (std::uint32_t r : capacities) collectors.emplace_back(r);
+    std::vector<TopRCollector*> pointers;
+    for (TopRCollector& collector : collectors) pointers.push_back(&collector);
+    *scored = with_skip ? pipeline.ScoreRangeMulti(kN, pointers, fn, skip)
+                        : pipeline.ScoreRangeMulti(kN, pointers, fn);
+    std::vector<std::vector<std::pair<VertexId, std::uint32_t>>> ranked;
+    for (TopRCollector& collector : collectors) {
+      ranked.push_back(collector.TakeRanked());
+    }
+    return ranked;
+  };
+
+  std::uint64_t full_scored = 0;
+  const auto expected = run(1, 0, false, &full_scored);
+  EXPECT_EQ(full_scored, kN);
+  for (std::uint32_t chunks : {0u, 1u, 5u}) {
+    std::uint64_t first_scored = 0;
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+      std::uint64_t scored = 0;
+      EXPECT_EQ(run(threads, chunks, true, &scored), expected)
+          << "threads=" << threads << " chunks=" << chunks;
+      EXPECT_LT(scored, kN / 2) << "threads=" << threads;
+      if (threads == 1) first_scored = scored;
+      EXPECT_EQ(scored, first_scored)
+          << "threads=" << threads << " chunks=" << chunks;
+    }
+  }
+}
+
+// A pair the collector already holds is not offered twice: merging
+// collectors that share entries must not evict anything.
+TEST(TopRCollectorTest, OfferingAHeldPairChangesNothing) {
+  TopRCollector collector(3);
+  collector.Offer(4, 9);
+  collector.Offer(2, 5);
+  EXPECT_FALSE(collector.Offer(2, 5));  // not full yet
+  EXPECT_EQ(collector.size(), 2u);
+  collector.Offer(8, 1);
+  const auto before = collector.Ranked();
+  EXPECT_FALSE(collector.Offer(4, 9));  // full, ranks before the worst
+  EXPECT_EQ(collector.Ranked(), before);
+  // TakeRanked also resets the prune state.
+  EXPECT_TRUE(collector.CanPrune(0, 100));
+  collector.TakeRanked();
+  EXPECT_FALSE(collector.CanPrune(0, 100));
 }
 
 // TakeRanked must hand out exactly what Ranked() would, best first, and

@@ -413,11 +413,16 @@ int RunBatch(GraphSource& source, const Flags& flags) {
       scanned += results[q].stats.vertices_scored;
       seconds += results[q].stats.total_seconds;
     }
+    // The space a search could have scored: every vertex once for a
+    // shared scan, once per query for the per-query loop.
+    std::uint64_t space = std::uint64_t{g.num_vertices()} * results.size();
     if (shared) {
       scanned = results[0].stats.vertices_scored;
       seconds = results[0].stats.total_seconds;
+      space = g.num_vertices();
     }
-    std::cerr << "batch search space: " << scanned << " vertices"
+    std::cerr << "batch search space: " << scanned << " of " << space
+              << " vertices"
               << PrunedEdgesNote(*holder.active, results[0].stats, g)
               << ", threads: " << results[0].stats.threads_used
               << ", time: " << HumanSeconds(seconds) << "\n";
