@@ -1,11 +1,11 @@
 // Batch vs single-query amortization: the fig8/fig15 workload re-runs the
 // full per-vertex scan once per k even though one ego decomposition
 // determines a vertex's score at every k. This benchmark runs the same
-// (k, r) workload twice per method — as a loop of TopR calls and as one
-// SearchBatch — verifies the answers are bit-identical, and reports the
-// wall-time speedup plus the scan sizes: for the ego-decomposition methods
-// the single-query loop performs one decomposition per (vertex, k) while
-// the batch path performs one per vertex.
+// (k, r) workload twice per method — as a loop of TopR calls, each a
+// one-query batch, and as one SearchBatch — verifies the answers are
+// bit-identical, and reports the wall-time speedup plus the scan sizes: for
+// the ego-decomposition methods the one-query loop performs one
+// decomposition per (vertex, k) while the batch performs one per vertex.
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -45,6 +45,8 @@ int Run(int argc, char** argv) {
   for (std::uint32_t k = 2; k <= 6; ++k) queries.push_back({k, r});
   std::cout << "workload: k=2..6, r=" << r
             << ", threads=" << query_options.num_threads << "\n";
+  std::cout << "one-query: a TopR call per k, each a one-query batch; "
+               "batch: one SearchBatch\nof all five queries.\n";
 
   for (const auto& name : PlotDatasetNames()) {
     const Graph g = MakeDataset(name, scale);
@@ -64,8 +66,8 @@ int Run(int argc, char** argv) {
     const std::vector<DiversitySearcher*> searchers = {&online, &bound, &tsd,
                                                        &gct, &hybrid};
 
-    TablePrinter table({"method", "single", "batch", "speedup",
-                        "scanned single", "scanned batch", "identical"});
+    TablePrinter table({"method", "one-query", "batch", "speedup",
+                        "scanned one-query", "scanned batch", "identical"});
     for (DiversitySearcher* searcher : searchers) {
       searcher->set_query_options(query_options);
 
@@ -100,7 +102,7 @@ int Run(int argc, char** argv) {
   }
   std::cout << "\nExpected shape: the ego-decomposition methods (baseline, "
                "bound) amortize one\ndecomposition per vertex across all "
-               "five k (scanned batch ≈ scanned single / 5\nfor baseline); "
+               "five k (scanned batch ≈ scanned one-query / 5\nfor baseline); "
                "the index methods amortize the per-k scan and the winners' "
                "context\nphase. 'identical' must read yes everywhere.\n";
   return 0;

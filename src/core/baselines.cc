@@ -34,11 +34,13 @@ TopRResult DegreeBoundedTopR(QueryPipeline& pipeline, const Graph& graph,
   const std::vector<VertexId> order = OrderByBoundDesc(bounds);
 
   TopRCollector collector(r);
+  TopRCollector* const collectors[] = {&collector};
   {
     ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace& ws, VertexId v) {
-          return score_fn(ws.ExtractEgo(v), /*want_contexts=*/false).score;
+    result.stats.vertices_scored = pipeline.ScoreOrderedMulti(
+        order, bounds, collectors,
+        [&](QueryWorkspace& ws, VertexId v, std::uint32_t* score) {
+          *score = score_fn(ws.ExtractEgo(v), /*want_contexts=*/false).score;
         });
   }
   {
@@ -56,33 +58,41 @@ TopRResult DegreeBoundedTopR(QueryPipeline& pipeline, const Graph& graph,
 
 }  // namespace
 
-TopRResult CompDivSearcher::TopR(std::uint32_t r, std::uint32_t k,
-                                 QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 1);
+std::vector<TopRResult> CompDivSearcher::SearchBatch(
+    std::span<const BatchQuery> queries, QuerySession& session) const {
   // Neither baseline needs a truss decomposer; the workspaces only serve
   // ego extraction scratch.
   QueryPipeline& pipeline =
       session.PipelineFor(graph_, EgoTrussMethod::kHash);
-  return DegreeBoundedTopR(
-      pipeline, graph_, r, std::max(1U, k),
-      [k](EgoNetwork& ego, bool want_contexts) {
-        return ScoreComponents(ego, k, want_contexts);
-      });
+  std::vector<TopRResult> results;
+  results.reserve(queries.size());
+  for (const auto [k, r] : queries) {
+    TSD_CHECK(r >= 1);
+    TSD_CHECK(k >= 1);
+    results.push_back(DegreeBoundedTopR(
+        pipeline, graph_, r, k, [k](EgoNetwork& ego, bool want_contexts) {
+          return ScoreComponents(ego, k, want_contexts);
+        }));
+  }
+  return results;
 }
 
-TopRResult CoreDivSearcher::TopR(std::uint32_t r, std::uint32_t k,
-                                 QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 1);
+std::vector<TopRResult> CoreDivSearcher::SearchBatch(
+    std::span<const BatchQuery> queries, QuerySession& session) const {
   QueryPipeline& pipeline =
       session.PipelineFor(graph_, EgoTrussMethod::kHash);
-  // A k-core has at least k+1 vertices.
-  return DegreeBoundedTopR(
-      pipeline, graph_, r, k + 1,
-      [k](EgoNetwork& ego, bool want_contexts) {
-        return ScoreKCores(ego, k, want_contexts);
-      });
+  std::vector<TopRResult> results;
+  results.reserve(queries.size());
+  for (const auto [k, r] : queries) {
+    TSD_CHECK(r >= 1);
+    TSD_CHECK(k >= 1);
+    // A k-core has at least k+1 vertices.
+    results.push_back(DegreeBoundedTopR(
+        pipeline, graph_, r, k + 1, [k](EgoNetwork& ego, bool want_contexts) {
+          return ScoreKCores(ego, k, want_contexts);
+        }));
+  }
+  return results;
 }
 
 std::vector<VertexId> RandomSelect(const Graph& graph, std::uint32_t r,

@@ -9,10 +9,14 @@
 //
 // Both searchers use the same top-r framework as the truss model with the
 // model-appropriate degree upper bounds (⌊d(v)/k⌋ components of size ≥ k;
-// ⌊d(v)/(k+1)⌋ k-cores, each having ≥ k+1 vertices).
+// ⌊d(v)/(k+1)⌋ k-cores, each having ≥ k+1 vertices). They accept k ≥ 1
+// and have no amortized batch path: SearchBatch answers its queries one
+// at a time, each with its own bound-ordered scan and per-query stats.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/query_session.h"
 #include "core/types.h"
@@ -24,9 +28,8 @@ class CompDivSearcher : public DiversitySearcher {
  public:
   explicit CompDivSearcher(const Graph& graph) : graph_(graph) {}
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
+  std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
+                                      QuerySession& session) const override;
   std::string name() const override { return "Comp-Div"; }
 
  private:
@@ -37,9 +40,8 @@ class CoreDivSearcher : public DiversitySearcher {
  public:
   explicit CoreDivSearcher(const Graph& graph) : graph_(graph) {}
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
+  std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
+                                      QuerySession& session) const override;
   std::string name() const override { return "Core-Div"; }
 
  private:

@@ -11,9 +11,10 @@
 // ego decomposition per candidate vertex instead of one per (vertex, k).
 //
 // Determinism: every query's collector receives exactly the (vertex, score)
-// offers its dedicated per-query scan would have produced, and the top-r set
-// under the library-wide total order is unique, so SearchBatch entries are
-// bit-identical to per-query TopR at any thread count.
+// offers a dedicated scan for that query alone would have produced, and the
+// top-r set under the library-wide total order is unique, so a query's
+// entries do not depend on the batch around it or on the thread count. A
+// one-query batch is how DiversitySearcher::TopR answers.
 #pragma once
 
 #include <algorithm>

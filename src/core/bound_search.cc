@@ -6,7 +6,6 @@
 #include "core/batch_query.h"
 #include "core/score_ranking.h"
 #include "core/scoring.h"
-#include "core/top_r_collector.h"
 #include "truss/k_truss.h"
 
 namespace tsd {
@@ -45,84 +44,6 @@ std::uint32_t BoundSearcher::UpperBound(std::uint32_t degree,
   return static_cast<std::uint32_t>(std::min(by_vertices, by_edges));
 }
 
-std::vector<std::uint32_t> BoundSearcher::UpperBounds(
-    const Graph& graph, const std::vector<std::uint64_t>& ego_edge_counts,
-    std::uint32_t k) {
-  TSD_CHECK(k >= 2);
-  std::vector<std::uint32_t> bounds(graph.num_vertices());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    bounds[v] = UpperBound(graph.degree(v), ego_edge_counts[v], k);
-  }
-  return bounds;
-}
-
-TopRResult BoundSearcher::TopR(std::uint32_t r, std::uint32_t k,
-                               QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-
-  // The session's pipeline is cached against the full graph and rebound to
-  // the per-query sparsified subgraph below, so workspace scratch survives
-  // across queries.
-  QueryPipeline& pipeline = session.PipelineFor(graph_, method_);
-  PipelineRearm rearm(pipeline, graph_);
-
-  // --- Preprocessing: sparsification + bounds (lines 1–4 of Algorithm 4).
-  // Property 1: only edges with τ_G(e) ≥ k+1, i.e. the (k+1)-truss, can
-  // contribute.
-  KTruss reduced;
-  std::vector<std::uint32_t> bounds;
-  {
-    ScopedTimer t(&result.stats.preprocess_seconds);
-    reduced = KTrussPeel(graph_, k + 1, ToParallelConfig(session.options()));
-    result.stats.edges_pruned = reduced.stats.edges_pruned;
-    pipeline.Rebind(reduced.truss);
-    pipeline.MapScores(
-        reduced.truss.num_vertices(), &bounds,
-        [&](QueryWorkspace&, VertexId v) {
-          return UpperBound(reduced.truss.degree(v), reduced.TrianglesAt(v), k);
-        });
-  }
-
-  // Candidates in non-increasing bound order (ties by ascending id for
-  // determinism).
-  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
-
-  TopRCollector collector(r);
-  {
-    ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/false)
-              .score;
-        });
-  }
-
-  // Materialize the winners' contexts on the reduced graph (identical to
-  // the original graph's contexts by Property 1).
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        collector.Ranked(), &result.entries,
-        [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
-        });
-  }
-
-  // `rearm` rebinds the workspaces to the full graph on return (the
-  // reduced graph dies here) — and on any exception unwind above.
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
-}
-
 std::vector<TopRResult> BoundSearcher::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   WallTimer total;
@@ -135,19 +56,23 @@ std::vector<TopRResult> BoundSearcher::SearchBatch(
 
   // The smallest requested k gives the loosest sparsification, which is
   // valid for every batched threshold at once (the truss keeps the
-  // vertex-id space, so the candidate range matches the per-query scans).
+  // vertex-id space, so every vertex of the graph stays a candidate).
   const std::uint32_t k_min = runner.thresholds().back();
   KTruss reduced;
   std::vector<std::uint32_t> bounds;
   std::vector<VertexId> order;
-  // When every query's r is small, one shared bound order prunes most of
-  // the per-candidate ego decompositions: the Lemma 2 bound min(d/k,
-  // m_v/C(k,2)) is non-increasing in k, so evaluating it at the smallest
-  // requested k upper-bounds every query's score and the ordered scan can
-  // stop once every collector prunes. With large r nearly every candidate
-  // gets scored anyway, so the bound pass and the ordering would not pay
-  // for themselves. Entries are bit-identical either way.
-  const bool ordered = runner.total_r() * 64 <= graph_.num_vertices();
+  // The shared bound order prunes most of the per-candidate ego
+  // decompositions: the Lemma 2 bound min(d/k, m_v/C(k,2)) is
+  // non-increasing in k, so evaluating it at the smallest requested k
+  // upper-bounds every query's score and the ordered scan can stop once
+  // every collector prunes. A sequential scan always takes it (it prunes
+  // per vertex; the paper's Example 3 scores one vertex). A parallel scan
+  // prunes only between rounds, and with large r nearly every candidate
+  // gets scored anyway, so there the round barriers, the bound pass and
+  // the ordering pay off only while every query's r is small. Entries are
+  // bit-identical either way.
+  const bool ordered = pipeline.num_threads() == 1 ||
+                       runner.total_r() * 64 <= graph_.num_vertices();
   {
     ScopedTimer t(&stats.preprocess_seconds);
     reduced =

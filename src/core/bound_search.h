@@ -22,7 +22,8 @@
 //
 // The bound-computation, exact-verification, and context phases all run on
 // the shared QueryPipeline; with num_threads > 1 the early termination
-// happens at round granularity (rankings unchanged, see query_pipeline.h).
+// happens at round granularity (rankings unchanged, see query_pipeline.h),
+// and a batch whose r values are large scans the reduced range unordered.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +44,14 @@ class BoundSearcher : public DiversitySearcher {
       : graph_(graph), method_(method) {}
 
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
-
-  /// Amortized batch path: one (k+1)-truss peel at the smallest requested
-  /// k serves every query (Property 1 holds per k on that subgraph since its
-  /// edge set contains every edge with τ_G(e) ≥ k+1 for all batched k), then
-  /// one ego decomposition per surviving vertex scores all thresholds. Exact scores for every
-  /// candidate, so entries are bit-identical to per-query TopR.
+  /// One (k+1)-truss peel at the smallest requested k serves every query
+  /// (Property 1 holds per k on that subgraph since its edge set contains
+  /// every edge with τ_G(e) ≥ k+1 for all batched k), then one ego
+  /// decomposition per visited vertex scores all thresholds. Sequential
+  /// sessions and small batches visit candidates in Lemma 2 bound order
+  /// and stop early (Algorithm 4); parallel sessions with large batches
+  /// scan the whole reduced range. Entries are the same either way.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 
@@ -64,13 +63,6 @@ class BoundSearcher : public DiversitySearcher {
   /// never wraps. Requires k ≥ 2 (checked).
   static std::uint32_t UpperBound(std::uint32_t degree, std::uint64_t m_v,
                                   std::uint32_t k);
-
-  /// The Lemma 2 upper bounds for every vertex of `graph` (exposed for
-  /// tests and the ablation benchmarks). `ego_edge_counts` is m_v per
-  /// vertex, e.g. from TrianglesPerVertex.
-  static std::vector<std::uint32_t> UpperBounds(
-      const Graph& graph, const std::vector<std::uint64_t>& ego_edge_counts,
-      std::uint32_t k);
 
  private:
   const Graph& graph_;

@@ -181,23 +181,9 @@ ScoreResult DynamicTsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
   return forest::ScoreWithContexts(SliceOf(CurrentView(), v), k, scratch);
 }
 
-std::uint32_t DynamicTsdIndex::ScoreUpperBound(VertexId v,
-                                               std::uint32_t k) const {
-  EpochGuard guard(epochs_);
-  return forest::ScoreUpperBound(SliceOf(CurrentView(), v), k);
-}
-
-// One pin brackets a whole query or batch; the pipeline workers the drivers
-// fork run inside it (fork/join is the happens-before bracket), so every
+// One pin brackets a whole batch; the pipeline workers the driver forks run
+// inside it (fork/join is the happens-before bracket), so every
 // kernel call reads through this one pinned view.
-TopRResult DynamicTsdIndex::TopR(std::uint32_t r, std::uint32_t k,
-                                 QuerySession& session) const {
-  EpochGuard guard(epochs_);
-  const ForestView& view = CurrentView();
-  return ForestTopR(r, k, view.num_vertices, session,
-                    [&view](VertexId v) { return SliceOf(view, v); });
-}
-
 std::vector<TopRResult> DynamicTsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   EpochGuard guard(epochs_);

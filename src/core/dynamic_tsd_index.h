@@ -108,15 +108,10 @@ class DynamicTsdIndex : public DiversitySearcher {
     return ScoreWithContexts(v, k, scratch);
   }
 
-  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
-
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  /// TopR and SearchBatch pin one epoch and run the drivers of
-  /// core/forest_slice.h (the same ones TsdIndex runs) over the pinned view.
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
+  /// Pins one epoch and runs the driver of core/forest_slice.h (the one
+  /// TsdIndex runs) over the pinned view.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

@@ -97,14 +97,4 @@ void ScoresForThresholds(const ForestSliceView& slice,
   }
 }
 
-std::uint32_t ScoreUpperBound(const ForestSliceView& slice, std::uint32_t k) {
-  TSD_CHECK(k >= 2);
-  const auto qualified = static_cast<std::uint32_t>(
-      std::partition_point(slice.weight.begin(), slice.weight.end(),
-                           [k](std::uint32_t w) { return w >= k; }) -
-      slice.weight.begin());
-  // A maximal connected k-truss contributes at least k-1 forest edges.
-  return qualified / (k - 1);
-}
-
 }  // namespace tsd::forest

@@ -1,4 +1,4 @@
-// The TSD-index query kernels and drivers, written once over a per-vertex
+// The TSD-index query kernels and driver, written once over a per-vertex
 // forest slice.
 //
 // Every TSD query reads one object per vertex v: the maximum spanning forest
@@ -7,7 +7,7 @@
 // score), plus the slice's score profile. TsdIndex stores the slices
 // flattened into mapped-or-owned arrays; DynamicTsdIndex keeps one
 // immutable, epoch-protected slice per vertex. Both hand the kernels and
-// drivers below a ForestSliceView, so the two indexes share one
+// the driver below a ForestSliceView, so the two indexes share one
 // implementation of every query.
 //
 // The score profile is computed once per slice, by AppendScoreProfile, when
@@ -21,20 +21,21 @@
 //   Score               — the profile entry of the smallest level ≥ k.
 //   ScoreWithContexts   — the weight-≥k prefix, materialized into contexts.
 //   ScoresForThresholds — one profile walk scores every threshold of a batch.
-//   ScoreUpperBound     — s̃core = ⌊#(weight ≥ k) / (k−1)⌋ (Section 5.2).
 //
 // Every slice also has a score ceiling: its top level and its largest
 // level score. The score is 0 above the top level and never exceeds the
 // largest level score, so the ceiling bounds the score at every k, and it
 // is small enough for both indexes to keep in a flat per-vertex array.
 //
-// ForestTopR is the bound-ordered top-r scan with early termination.
-// ForestSearchBatch sweeps the vertex range once for all requested
-// thresholds in id order. It reads each vertex's ceiling from the flat
-// array and touches the slice only if some query's collector could still
-// take it. A shared bound order measured slower on the live-update
-// workload, but the ceiling test needs no order: a skipped vertex ranks
-// below r already scored vertices of every query, so it is in no answer.
+// ForestSearchBatch, the one query driver (TopR is a one-query batch),
+// sweeps the vertex range once for all requested thresholds in id order.
+// It reads each vertex's ceiling from the flat array and touches the slice
+// only if some query's collector could still take it. A shared bound order
+// measured slower on the live-update workload, and so did one query's scan
+// in the order of the paper's s̃core bound (Section 5.2) on
+// livejournal-small. The ceiling test needs no order: a skipped vertex
+// ranks below r already scored vertices of every query, so it is in no
+// answer.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,6 @@
 #include "core/query_pipeline.h"
 #include "core/query_scratch.h"
 #include "core/query_session.h"
-#include "core/score_ranking.h"
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "core/types.h"
@@ -107,66 +107,14 @@ void ScoresForThresholds(const ForestSliceView& slice,
                          std::span<const std::uint32_t> thresholds,
                          std::uint32_t* scores);
 
-/// The s̃core upper bound; always ≥ Score(slice, k). Requires k ≥ 2.
-std::uint32_t ScoreUpperBound(const ForestSliceView& slice, std::uint32_t k);
-
 }  // namespace forest
-
-/// Top-r over vertices [0, n): s̃core bounds, bound-ordered scoring with
-/// early termination, then context materialization for the winners.
-/// `slice_of(v)` returns v's ForestSliceView and must stay valid for the
-/// whole call (the dynamic index pins an epoch around it).
-template <typename SliceOf>
-TopRResult ForestTopR(std::uint32_t r, std::uint32_t k, VertexId n,
-                      QuerySession& session, SliceOf&& slice_of) {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-
-  // Index-only pipeline: the kernels read forest slices and never touch an
-  // ego-network, so workspaces carry no extractor.
-  QueryPipeline& pipeline = session.IndexPipeline();
-
-  std::vector<std::uint32_t> bounds;
-  {
-    ScopedTimer t(&result.stats.preprocess_seconds);
-    pipeline.MapScores(n, &bounds, [&](QueryWorkspace&, VertexId v) {
-      return forest::ScoreUpperBound(slice_of(v), k);
-    });
-  }
-
-  const std::vector<VertexId> order = OrderByBoundDesc(bounds);
-
-  TopRCollector collector(r);
-  {
-    ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreOrdered(
-        order, bounds, &collector, [&](QueryWorkspace&, VertexId v) {
-          return forest::Score(slice_of(v), k);
-        });
-  }
-
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        collector.Ranked(), &result.entries,
-        [&](QueryWorkspace& ws, VertexId v) {
-          return forest::ScoreWithContexts(slice_of(v), k, ws.index_scratch())
-              .contexts;
-        });
-  }
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
-}
 
 /// Batch top-r over vertices [0, n): one ScoresForThresholds walk per
 /// vertex answers every query, and winners are grouped by vertex for the
 /// context phase. `ceiling_of(v)` returns v's ScoreCeiling; a vertex whose
 /// ceiling no query's collector can take is skipped without reading its
-/// slice. Entries are bit-identical to per-query ForestTopR, and
-/// vertices_scored counts the slices read.
+/// slice. vertices_scored counts the slices read. `slice_of(v)` must stay
+/// valid for the whole call (the dynamic index pins an epoch around it).
 template <typename SliceOf, typename CeilingOf>
 std::vector<TopRResult> ForestSearchBatch(std::span<const BatchQuery> queries,
                                           VertexId n, QuerySession& session,

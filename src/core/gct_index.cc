@@ -382,31 +382,6 @@ ScoreRanking GctIndex::Answers(std::uint32_t r, std::uint32_t k,
                        [this, k](VertexId v) { return TopTrussness(v) >= k; });
 }
 
-TopRResult GctIndex::TopR(std::uint32_t r, std::uint32_t k,
-                          QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-  QueryPipeline& pipeline = session.IndexPipeline();
-  ScoreRanking answers;
-  {
-    ScopedTimer t(&result.stats.score_seconds);
-    answers = Answers(r, k, pipeline);
-  }
-  result.stats.vertices_scored = answers.size();
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        answers, &result.entries, [&](QueryWorkspace& ws, VertexId v) {
-          return ScoreWithContexts(v, k, ws.index_scratch()).contexts;
-        });
-  }
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
-}
-
 std::vector<TopRResult> GctIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   WallTimer total;

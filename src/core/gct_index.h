@@ -87,20 +87,14 @@ class GctIndex : public DiversitySearcher {
   }
 
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  /// Index-based top-r search: the answers are the front of the ranking at
-  /// k (built on the first query at k), so a warm query costs O(r) plus
-  /// its contexts. The index is immutable apart from the shared rankings,
+  /// Every query reads its answers off the front of the ranking at its k
+  /// (built on the first query at k), so a warm query costs O(r) plus its
+  /// contexts; winners shared by several queries are materialized
+  /// together. The index is immutable apart from the shared rankings,
   /// which are thread-safe, so concurrent sessions may query one shared
   /// instance. stats.vertices_scored counts the answers read from the
-  /// ranking (zero-score padding included), not vertices scanned.
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
-
-  /// Batch path: every query reads its answers from the ranking at its k;
-  /// winners shared by several queries are materialized together
-  /// (bit-identical to per-query TopR).
+  /// rankings (zero-score padding included), not vertices scanned.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

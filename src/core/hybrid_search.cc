@@ -43,36 +43,6 @@ ScoreRanking HybridSearcher::Answers(std::uint32_t r, std::uint32_t k) const {
                        [this, k](VertexId v) { return top_tau_[v] >= k; });
 }
 
-TopRResult HybridSearcher::TopR(std::uint32_t r, std::uint32_t k,
-                                QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-
-  const ScoreRanking answers = Answers(r, k);
-
-  // The dominant cost: online social-context computation (Algorithm 2) for
-  // each answer vertex — the paper's motivation for GCT. Winners are
-  // independent, so this phase parallelizes across them.
-  QueryPipeline& pipeline =
-      session.PipelineFor(graph_, EgoTrussMethod::kHash);
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        answers, &result.entries, [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
-        });
-    result.stats.vertices_scored = answers.size();
-  }
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
-}
-
 std::vector<TopRResult> HybridSearcher::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   WallTimer total;

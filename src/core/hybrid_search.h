@@ -34,14 +34,10 @@ class HybridSearcher : public DiversitySearcher {
                  std::uint32_t num_threads = 1);
 
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
-
-  /// Amortized batch path: answers come straight from the precomputed
-  /// rankings; winners appearing in several queries are ego-decomposed once
-  /// for the context phase (bit-identical to per-query TopR).
+  /// Answers come straight from the precomputed rankings; the context
+  /// phase — the dominant cost, an online Algorithm 2 per winner —
+  /// ego-decomposes each distinct winner once, in parallel across winners.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

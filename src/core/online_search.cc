@@ -3,7 +3,6 @@
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/scoring.h"
-#include "core/top_r_collector.h"
 
 namespace tsd {
 
@@ -15,45 +14,6 @@ ScoreResult OnlineSearcher::ScoreVertex(VertexId v, std::uint32_t k,
   QueryWorkspace& ws = Pipeline(session).workspace(0);
   EgoNetwork& ego = ws.DecomposeEgo(v);
   return ScoreFromEgoTrussness(ego, ws.trussness(), k, want_contexts);
-}
-
-TopRResult OnlineSearcher::TopR(std::uint32_t r, std::uint32_t k,
-                                QuerySession& session) const {
-  TSD_CHECK(r >= 1);
-  TSD_CHECK(k >= 2);
-  WallTimer total;
-  TopRResult result;
-  QueryPipeline& pipeline = Pipeline(session);
-
-  TopRCollector collector(r);
-  {
-    ScopedTimer t(&result.stats.score_seconds);
-    result.stats.vertices_scored = pipeline.ScoreRange(
-        graph_.num_vertices(), &collector,
-        [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/false)
-              .score;
-        });
-  }
-
-  // Materialize the winners' social contexts (line 8 of Algorithm 3).
-  {
-    ScopedTimer t(&result.stats.context_seconds);
-    pipeline.MaterializeEntries(
-        collector.Ranked(), &result.entries,
-        [k](QueryWorkspace& ws, VertexId v) {
-          EgoNetwork& ego = ws.DecomposeEgo(v);
-          return ScoreFromEgoTrussness(ego, ws.trussness(), k,
-                                       /*want_contexts=*/true)
-              .contexts;
-        });
-  }
-
-  result.stats.threads_used = pipeline.num_threads();
-  result.stats.total_seconds = total.Seconds();
-  return result;
 }
 
 std::vector<TopRResult> OnlineSearcher::SearchBatch(

@@ -27,13 +27,8 @@ class OnlineSearcher : public DiversitySearcher {
       : graph_(graph), method_(method) {}
 
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
-
-  /// Amortized batch path: one ego decomposition per vertex feeds every
-  /// query's collector (bit-identical to per-query TopR).
+  /// One ego decomposition per vertex feeds every query's collector.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

@@ -74,18 +74,6 @@ QueryPipeline::RoundRamp QueryPipeline::StartRamp(
           max_size};
 }
 
-void QueryPipeline::MergeInto(std::vector<TopRCollector>& locals,
-                              TopRCollector* collector) const {
-  // Worker order; the top-r set under the total order is unique, so any
-  // merge order yields the same collector state. The locals die after the
-  // merge, so take their entries instead of copying.
-  for (TopRCollector& local : locals) {
-    for (const auto& [vertex, score] : local.TakeRanked()) {
-      collector->Offer(vertex, score);
-    }
-  }
-}
-
 QueryPipeline& PipelineCache::For(const Graph& graph, EgoTrussMethod method,
                                   const QueryOptions& options) {
   if (pipeline_ == nullptr || cached_options_ != options ||

@@ -136,44 +136,28 @@ class QueryPipeline {
     return *workspaces_[worker];
   }
 
-  /// Scores every vertex in [0, num_candidates) with
-  /// `fn(workspace, v) -> std::uint32_t` and offers all results into
-  /// `collector`. Returns the number of vertices scored (== num_candidates).
-  template <typename ScoreFn>
-  std::uint64_t ScoreRange(VertexId num_candidates, TopRCollector* collector,
-                           ScoreFn&& fn);
-
   /// Bound-ordered scan with early termination (Algorithm 4 discipline):
-  /// visits `order` front to back — callers pass candidates sorted by
-  /// non-increasing `bounds[v]` — and stops once no remaining candidate can
-  /// displace the current r-th answer. Sequential runs prune per vertex;
-  /// parallel runs prune between rounds of one chunk per worker. Returns
-  /// the number of candidates exactly scored.
-  template <typename ScoreFn>
-  std::uint64_t ScoreOrdered(std::span<const VertexId> order,
-                             std::span<const std::uint32_t> bounds,
-                             TopRCollector* collector, ScoreFn&& fn);
-
-  /// Batch analogue of ScoreOrdered: visits `order` front to back —
-  /// candidates sorted by non-increasing `bounds[v]`, where bounds[v] must
-  /// upper-bound v's score for EVERY collector's query — and stops once
-  /// every collector can prune the remaining range. Because the shared
-  /// bound dominates each query's own bound, a skipped candidate could not
-  /// have displaced any query's r-th answer, so each collector ends
-  /// bit-identical to a full ScoreRangeMulti pass. Returns the number of
-  /// candidates exactly scored.
+  /// visits `order` front to back — candidates sorted by non-increasing
+  /// `bounds[v]`, where bounds[v] must upper-bound v's score for EVERY
+  /// collector's query — scores each visited candidate for all queries
+  /// with `fn(workspace, v, scores)` (scores[q] per collector), and stops
+  /// once every collector can prune the remaining range: no remaining
+  /// candidate could displace any query's r-th answer, so each collector
+  /// ends bit-identical to a full ScoreRangeMulti pass. Sequential runs
+  /// prune per vertex; parallel runs prune between rounds of at most one
+  /// chunk per worker. Returns the number of candidates exactly scored.
   template <typename MultiScoreFn>
   std::uint64_t ScoreOrderedMulti(std::span<const VertexId> order,
                                   std::span<const std::uint32_t> bounds,
                                   std::span<TopRCollector* const> collectors,
                                   MultiScoreFn&& fn);
 
-  /// Batch variant of ScoreRange: one pass over [0, num_candidates) scoring
-  /// every vertex for all queries at once. `fn(workspace, v, scores)` fills
-  /// scores[q] for each q in [0, collectors.size()); each score is offered
-  /// into collectors[q]. Because the top-r set under the total order is
-  /// unique, each collector ends bit-identical to a dedicated ScoreRange
-  /// pass offering the same per-vertex scores, at any thread count.
+  /// One pass over [0, num_candidates) scoring every vertex for all
+  /// queries at once. `fn(workspace, v, scores)` fills scores[q] for each q
+  /// in [0, collectors.size()); each score is offered into collectors[q].
+  /// Because the top-r set under the total order is unique, each collector
+  /// ends bit-identical to a sequential pass offering the same per-vertex
+  /// scores, at any thread count.
   ///
   /// `skip(v, locals)` may return true only if v cannot enter any of
   /// `locals`, one collector per query in query order, each holding the
@@ -202,9 +186,9 @@ class QueryPipeline {
   template <typename ItemFn>
   void ForEach(std::uint64_t num_items, ItemFn&& fn);
 
-  /// Materializes the winners' TopREntry list (the context phase shared by
-  /// all searchers): for each (vertex, score) of `ranked`, in rank order,
-  /// fills entry i with contexts from
+  /// Materializes one query's TopREntry list (the context phase of the
+  /// Comp-Div and Core-Div baselines): for each (vertex, score) of
+  /// `ranked`, in rank order, fills entry i with contexts from
   /// `fn(workspace, vertex) -> std::vector<SocialContext>`.
   template <typename ContextFn>
   void MaterializeEntries(
@@ -212,15 +196,14 @@ class QueryPipeline {
       std::vector<TopREntry>* entries, ContextFn&& fn);
 
  private:
-  // Round schedule of the bound-ordered parallel scans (ScoreOrdered and
-  // ScoreOrderedMulti): the first round scores max(num_threads *
-  // kRampBasePerThread, r) candidates and each next round kRampGrowth times
-  // more, capped at one chunk per worker. Small early rounds stop cheaply
-  // when the bound order prunes early (Example 3 scores exactly one
-  // vertex); the geometric growth bounds the number of round barriers when
-  // it does not. Rankings are identical for any schedule; only wall time
-  // and vertices_scored move. Values picked by the former
-  // bench_ablation_parallel ramp sweep.
+  // Round schedule of the bound-ordered parallel scan (ScoreOrderedMulti):
+  // the first round scores max(num_threads * kRampBasePerThread, r)
+  // candidates and each next round kRampGrowth times more, capped at one
+  // chunk per worker. Small early rounds stop cheaply when the bound order
+  // prunes early (Example 3 scores exactly one vertex); the geometric growth
+  // bounds the number of round barriers when it does not. Rankings are
+  // identical for any schedule; only wall time and vertices_scored move.
+  // Values picked by the former bench_ablation_parallel ramp sweep.
   static constexpr std::uint64_t kRampBasePerThread = 4;
   static constexpr std::uint64_t kRampGrowth = 2;
   struct RoundRamp {
@@ -239,8 +222,6 @@ class QueryPipeline {
 
   std::uint32_t ResolveChunks(std::uint64_t total) const;
   std::uint32_t ResolveSkipScanChunks(std::uint64_t total) const;
-  void MergeInto(std::vector<TopRCollector>& locals,
-                 TopRCollector* collector) const;
 
   QueryOptions options_;
   // unique_ptr keeps workspace addresses stable and sidesteps copying the
@@ -278,84 +259,6 @@ inline ParallelConfig ToParallelConfig(const QueryOptions& options) {
 // ---------------------------------------------------------------------------
 // Template implementations.
 
-template <typename ScoreFn>
-std::uint64_t QueryPipeline::ScoreRange(VertexId num_candidates,
-                                        TopRCollector* collector,
-                                        ScoreFn&& fn) {
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (VertexId v = 0; v < num_candidates; ++v) {
-      collector->Offer(v, fn(ws, v));
-    }
-    return num_candidates;
-  }
-
-  std::vector<TopRCollector> locals(options_.num_threads,
-                                    TopRCollector(collector->capacity()));
-  ParallelForChunksIndexed(
-      num_candidates, ResolveChunks(num_candidates), options_.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        QueryWorkspace& ws = *workspaces_[worker];
-        TopRCollector& local = locals[worker];
-        for (std::uint64_t v = begin; v < end; ++v) {
-          local.Offer(static_cast<VertexId>(v),
-                      fn(ws, static_cast<VertexId>(v)));
-        }
-      });
-  MergeInto(locals, collector);
-  return num_candidates;
-}
-
-template <typename ScoreFn>
-std::uint64_t QueryPipeline::ScoreOrdered(std::span<const VertexId> order,
-                                          std::span<const std::uint32_t> bounds,
-                                          TopRCollector* collector,
-                                          ScoreFn&& fn) {
-  std::uint64_t scored = 0;
-  if (options_.num_threads == 1) {
-    QueryWorkspace& ws = *workspaces_[0];
-    for (VertexId v : order) {
-      if (collector->CanPrune(bounds[v], v)) break;  // early termination
-      collector->Offer(v, fn(ws, v));
-      ++scored;
-    }
-    return scored;
-  }
-
-  // Rounds of work split across the workers; the termination check runs
-  // between rounds against the merged collector. Candidates are
-  // bound-sorted, so checking the first candidate of a round covers the
-  // whole round. Round sizes follow the RoundRamp schedule.
-  const std::uint32_t num_threads = options_.num_threads;
-  const std::uint64_t total = order.size();
-  RoundRamp ramp = StartRamp(total, collector->capacity());
-  std::vector<TopRCollector> locals;
-  std::uint64_t round_begin = 0;
-  while (round_begin < total) {
-    const VertexId first = order[round_begin];
-    if (collector->CanPrune(bounds[first], first)) break;
-    const std::uint64_t round_end = std::min(total, round_begin + ramp.size);
-    locals.assign(num_threads, TopRCollector(collector->capacity()));
-    ParallelForChunksIndexed(
-        round_end - round_begin, num_threads, num_threads,
-        [&](std::uint32_t worker, std::uint32_t /*chunk*/,
-            std::uint64_t begin, std::uint64_t end) {
-          QueryWorkspace& ws = *workspaces_[worker];
-          TopRCollector& local = locals[worker];
-          for (std::uint64_t i = begin; i < end; ++i) {
-            const VertexId v = order[round_begin + i];
-            local.Offer(v, fn(ws, v));
-          }
-        });
-    MergeInto(locals, collector);
-    scored += round_end - round_begin;
-    round_begin = round_end;
-    ramp.Grow();
-  }
-  return scored;
-}
-
 template <typename MultiScoreFn>
 std::uint64_t QueryPipeline::ScoreOrderedMulti(
     std::span<const VertexId> order, std::span<const std::uint32_t> bounds,
@@ -384,9 +287,11 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
     return scored;
   }
 
-  // Same round discipline as ScoreOrdered, with the per-(worker, query)
-  // local collectors of ScoreRangeMulti; the between-round termination
-  // check asks every collector before continuing.
+  // Rounds of work split across the workers, with the per-(worker, query)
+  // local collectors of ScoreRangeMulti; the termination check runs
+  // between rounds and asks every collector before continuing. Candidates
+  // are bound-sorted, so checking the first candidate of a round covers
+  // the whole round. Round sizes follow the RoundRamp schedule.
   const std::uint32_t num_threads = options_.num_threads;
   const std::uint64_t total = order.size();
   std::uint64_t max_capacity = 0;

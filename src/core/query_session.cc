@@ -1,7 +1,11 @@
-// Out-of-line pieces of the session API: the DiversitySearcher convenience
-// overloads live here (types.h only forward-declares QuerySession, keeping
-// the result types header free of pipeline machinery).
+// Out-of-line pieces of the session API: the one-query TopR and the
+// DiversitySearcher convenience overloads live here (types.h only
+// forward-declares QuerySession, keeping the result types header free of
+// pipeline machinery).
 #include "core/query_session.h"
+
+#include <span>
+#include <utility>
 
 #include "core/types.h"
 
@@ -20,6 +24,12 @@ QuerySession& DiversitySearcher::default_session() {
     default_session_->set_options(query_options_);
   }
   return *default_session_;
+}
+
+TopRResult DiversitySearcher::TopR(std::uint32_t r, std::uint32_t k,
+                                   QuerySession& session) const {
+  const BatchQuery query{k, r};
+  return std::move(SearchBatch(std::span(&query, 1), session).front());
 }
 
 TopRResult DiversitySearcher::TopR(std::uint32_t r, std::uint32_t k) {

@@ -169,16 +169,6 @@ ScoreResult TsdIndex::ScoreWithContexts(VertexId v, std::uint32_t k,
   return forest::ScoreWithContexts(Slice(v), k, scratch);
 }
 
-std::uint32_t TsdIndex::ScoreUpperBound(VertexId v, std::uint32_t k) const {
-  return forest::ScoreUpperBound(Slice(v), k);
-}
-
-TopRResult TsdIndex::TopR(std::uint32_t r, std::uint32_t k,
-                          QuerySession& session) const {
-  return ForestTopR(r, k, num_vertices(), session,
-                    [this](VertexId v) { return Slice(v); });
-}
-
 std::vector<TopRResult> TsdIndex::SearchBatch(
     std::span<const BatchQuery> queries, QuerySession& session) const {
   return ForestSearchBatch(
@@ -273,8 +263,8 @@ bool TsdIndex::LoadFromSnapshot(const SnapshotReader& reader, TsdIndex* out,
       if (edge_u[i] >= n || edge_v[i] >= n) {
         return Fail(error, "forest endpoint out of range");
       }
-      // Per-slice weight order is what the score profile and
-      // ScoreUpperBound's partition_point rely on.
+      // Per-slice weight order is what the score profile and the
+      // weight-≥k prefix of ScoreWithContexts rely on.
       if (i > offsets[v] && weight[i - 1] < weight[i]) {
         return Fail(error, "forest slice not sorted by weight descending");
       }

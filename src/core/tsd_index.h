@@ -11,12 +11,14 @@
 // levels as forest edges.
 //
 // Queries for any (k, r) run against the index alone:
-//   score(v)      — the components of the weight-≥k forest prefix, read off
-//                   v's score profile (precomputed per distinct weight).
-//   s̃core(v)     — ⌊(#forest edges of weight ≥ k) / (k-1)⌋, the TSD upper
-//                   bound used for top-r pruning (Section 5.2).
-//   TopR(r, k)    — bound-ordered scan with early termination.
-// The kernels and both query drivers live in core/forest_slice.h, shared
+//   score(v)       — the components of the weight-≥k forest prefix, read
+//                    off v's score profile (precomputed per distinct weight).
+//   SearchBatch    — one sweep of the vertex range for every query, reading
+//                    only the slices whose score ceiling some query could
+//                    still take. TopR is its one-query case.
+// The paper prunes TopR with the s̃core bound of Section 5.2 instead; the
+// per-vertex score ceiling needs no bound pass and no order.
+// The kernels and the query driver live in core/forest_slice.h, shared
 // with DynamicTsdIndex; this class stores the slices flattened.
 #pragma once
 
@@ -77,21 +79,12 @@ class TsdIndex : public DiversitySearcher {
     return ScoreWithContexts(v, k, scratch);
   }
 
-  /// The s̃core(v) upper bound (Section 5.2). Always ≥ Score(v, k).
-  /// Requires k ≥ 2 (checked).
-  std::uint32_t ScoreUpperBound(VertexId v, std::uint32_t k) const;
-
   using DiversitySearcher::SearchBatch;
-  using DiversitySearcher::TopR;
 
-  /// Index-based top-r search with s̃core pruning. The index is immutable,
-  /// so concurrent sessions may query one shared instance.
-  TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                  QuerySession& session) const override;
-
-  /// Amortized batch path: one sweep over the vertex range scores every
-  /// requested threshold, reading only the slices whose score ceiling some
-  /// query could still take (bit-identical to per-query TopR).
+  /// One sweep over the vertex range scores every requested threshold,
+  /// reading only the slices whose score ceiling some query could still
+  /// take. The index is immutable, so concurrent sessions may query one
+  /// shared instance.
   std::vector<TopRResult> SearchBatch(std::span<const BatchQuery> queries,
                                       QuerySession& session) const override;
 

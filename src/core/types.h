@@ -102,29 +102,26 @@ class DiversitySearcher {
   DiversitySearcher(DiversitySearcher&&) noexcept;
   DiversitySearcher& operator=(DiversitySearcher&&) noexcept;
 
-  /// Finds the r vertices with the highest structural diversity at
-  /// trussness threshold k (k ≥ 2) and returns them with their social
-  /// contexts, using `session`'s scratch. Deterministic: ties broken by
-  /// ascending vertex id. Thread-safe against concurrent queries on other
-  /// sessions.
-  virtual TopRResult TopR(std::uint32_t r, std::uint32_t k,
-                          QuerySession& session) const = 0;
-
-  /// Answers many (k, r) queries in one call. Entries are bit-identical to
-  /// calling TopR(q.r, q.k) per query, in query order, at any thread count.
-  /// The base implementation is the per-query loop; the amortized searchers
-  /// override it to run one ego-decomposition (or index) pass that feeds
-  /// every query, so per-batch stats (vertices_scored, timings) are shared
-  /// across the batch there rather than per query.
+  /// Answers many (k, r) queries in one call: per query, the r vertices
+  /// with the highest structural diversity at trussness threshold k (k ≥ 2,
+  /// or k ≥ 1 for the Comp-/Core-Div baselines; r ≥ 1; both checked) with
+  /// their social contexts, in query order, using `session`'s scratch.
+  /// Deterministic: ties broken by ascending vertex id, entries
+  /// bit-identical at any thread count and for any batch composition. This
+  /// is every searcher's one query path: the amortized searchers run one
+  /// ego-decomposition (or index) pass that feeds every query, so
+  /// per-batch stats (vertices_scored, timings) describe the whole batch
+  /// and are copied into every result. Thread-safe against concurrent
+  /// queries on other sessions.
   virtual std::vector<TopRResult> SearchBatch(
-      std::span<const BatchQuery> queries, QuerySession& session) const {
-    std::vector<TopRResult> results;
-    results.reserve(queries.size());
-    for (const BatchQuery& query : queries) {
-      results.push_back(TopR(query.r, query.k, session));
-    }
-    return results;
-  }
+      std::span<const BatchQuery> queries, QuerySession& session) const = 0;
+
+  /// One top-r query: SearchBatch over the one-element batch {k, r}, so it
+  /// returns exactly that query's batch answer. Virtual only because a
+  /// wrapper overrides it to trace single queries (perfbench's
+  /// TracedSearcher, perfbench/src/layers.h); no searcher overrides it.
+  virtual TopRResult TopR(std::uint32_t r, std::uint32_t k,
+                          QuerySession& session) const;
 
   /// Convenience overloads running on a lazily-created default session that
   /// tracks query_options(). Source-compatible with the pre-session API; NOT

@@ -1,15 +1,25 @@
-// Differential suite for the batch query engine: SearchBatch over a batch
-// of (k, r) queries must be bit-identical — vertices, scores, AND contexts
-// — to the per-query TopR loop, for every searcher, at 1, 2, and 8 worker
-// threads (extending the PR 1 determinism suite to the batch path). Batches
-// are randomized from a seeded generator and include duplicate queries,
-// repeated thresholds, and thresholds nothing survives.
+// Differential suite for the one query path of every searcher,
+// SearchBatch (TopR is its one-query case). Each batch answer — vertices,
+// scores AND contexts — must equal the top-r by definition: every vertex
+// scored by the literal Definitions 2 + 3 (testing::NaiveScore), ranked by
+// score descending and id ascending, the first r kept. The Comp-Div and
+// Core-Div baselines are held to an unpruned scan of their own model. This
+// holds for every searcher at 1, 2 and 8 worker threads, and a many-query
+// batch must equal the concatenation of its one-query batches, so the
+// amortization stays checked. Batches are randomized from a seeded
+// generator and include duplicate queries, repeated thresholds, and
+// thresholds nothing survives.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/baselines.h"
 #include "core/batch_query.h"
@@ -19,14 +29,20 @@
 #include "core/hybrid_search.h"
 #include "core/online_search.h"
 #include "core/query_scratch.h"
+#include "core/query_session.h"
 #include "core/scoring.h"
 #include "core/tsd_index.h"
 #include "graph/ego_network.h"
 #include "graph/generators.h"
+#include "reference_impls.h"
+#include "serve_test_util.h"
 #include "truss/ego_truss.h"
 
 namespace tsd {
 namespace {
+
+using test::ExpectSameEntries;
+using testing::ReferenceRanking;
 
 struct GraphCase {
   std::string name;
@@ -43,8 +59,61 @@ std::vector<GraphCase> TestGraphs() {
   return cases;
 }
 
-/// All seven searchers over one graph, owned together so the index builds
-/// happen once per case.
+/// The reference rankings of one model over one graph, one per threshold,
+/// each built on first use and reused by every searcher of that model.
+class Oracle {
+ public:
+  /// `ranking_at(k)` builds the ranking at threshold k.
+  explicit Oracle(std::function<ReferenceRanking(std::uint32_t)> ranking_at)
+      : ranking_at_(std::move(ranking_at)) {}
+
+  TopRResult TopR(std::uint32_t r, std::uint32_t k) {
+    auto it = rankings_.find(k);
+    if (it == rankings_.end()) it = rankings_.emplace(k, ranking_at_(k)).first;
+    return it->second.TopR(r);
+  }
+
+ private:
+  std::function<ReferenceRanking(std::uint32_t)> ranking_at_;
+  std::map<std::uint32_t, ReferenceRanking> rankings_;
+};
+
+/// The truss model by definition: testing::NaiveScore for every vertex.
+Oracle NaiveTrussOracle(const Graph& g) {
+  return Oracle([&g](std::uint32_t k) {
+    return ReferenceRanking(g.num_vertices(), [&](VertexId v) {
+      return testing::NaiveScore(g, v, k);
+    });
+  });
+}
+
+/// A baseline model with no pruning: `model(ego, k)` scores every vertex's
+/// ego network.
+template <typename Model>
+Oracle UnprunedOracle(const Graph& g, Model model) {
+  return Oracle([&g, model](std::uint32_t k) {
+    EgoNetworkExtractor extractor(g);
+    return ReferenceRanking(g.num_vertices(), [&](VertexId v) {
+      EgoNetwork ego = extractor.Extract(v);
+      return model(ego, k);
+    });
+  });
+}
+
+Oracle CompDivOracle(const Graph& g) {
+  return UnprunedOracle(g, [](EgoNetwork& ego, std::uint32_t k) {
+    return ScoreComponents(ego, k, /*want_contexts=*/true);
+  });
+}
+
+Oracle CoreDivOracle(const Graph& g) {
+  return UnprunedOracle(g, [](EgoNetwork& ego, std::uint32_t k) {
+    return ScoreKCores(ego, k, /*want_contexts=*/true);
+  });
+}
+
+/// All eight searchers over one graph, owned together so the index builds
+/// happen once per case, each paired with the oracle of its model.
 struct SearcherSet {
   explicit SearcherSet(const Graph& g)
       : online(g),
@@ -52,11 +121,18 @@ struct SearcherSet {
         tsd(TsdIndex::Build(g)),
         gct(GctIndex::Build(g)),
         hybrid(g, gct),
+        dynamic(g),
         comp(g),
-        core(g) {}
+        core(g),
+        truss_oracle(NaiveTrussOracle(g)),
+        comp_oracle(CompDivOracle(g)),
+        core_oracle(CoreDivOracle(g)) {}
 
-  std::vector<DiversitySearcher*> All() {
-    return {&online, &bound, &tsd, &gct, &hybrid, &comp, &core};
+  std::vector<std::pair<const DiversitySearcher*, Oracle*>> All() {
+    return {{&online, &truss_oracle}, {&bound, &truss_oracle},
+            {&tsd, &truss_oracle},    {&gct, &truss_oracle},
+            {&hybrid, &truss_oracle}, {&dynamic, &truss_oracle},
+            {&comp, &comp_oracle},    {&core, &core_oracle}};
   }
 
   OnlineSearcher online;
@@ -64,8 +140,12 @@ struct SearcherSet {
   TsdIndex tsd;
   GctIndex gct;
   HybridSearcher hybrid;
+  DynamicTsdIndex dynamic;
   CompDivSearcher comp;
   CoreDivSearcher core;
+  Oracle truss_oracle;
+  Oracle comp_oracle;
+  Oracle core_oracle;
 };
 
 /// A seeded random batch: k in [2, 6], r skewed small, with duplicates.
@@ -87,54 +167,68 @@ std::vector<BatchQuery> RandomBatch(std::uint64_t seed, std::size_t size) {
   return batch;
 }
 
-void ExpectSameEntries(const TopRResult& expected, const TopRResult& actual,
-                       const std::string& label) {
-  ASSERT_EQ(expected.entries.size(), actual.entries.size()) << label;
-  for (std::size_t i = 0; i < expected.entries.size(); ++i) {
-    EXPECT_EQ(expected.entries[i].vertex, actual.entries[i].vertex)
-        << label << " rank=" << i;
-    EXPECT_EQ(expected.entries[i].score, actual.entries[i].score)
-        << label << " rank=" << i;
-    EXPECT_EQ(expected.entries[i].contexts, actual.entries[i].contexts)
-        << label << " rank=" << i;
+QuerySession SessionWithThreads(std::uint32_t threads) {
+  QueryOptions options;
+  options.num_threads = threads;
+  return QuerySession(options);
+}
+
+/// Runs `batch` through `searcher` at 1, 2 and 8 threads and checks every
+/// answer against `oracle`.
+void ExpectBatchMatchesOracle(const DiversitySearcher& searcher,
+                              Oracle& oracle,
+                              const std::vector<BatchQuery>& batch,
+                              const std::string& label) {
+  for (std::uint32_t threads : {1u, 2u, 8u}) {
+    QuerySession session = SessionWithThreads(threads);
+    const std::vector<TopRResult> results =
+        searcher.SearchBatch(batch, session);
+    ASSERT_EQ(results.size(), batch.size()) << label;
+    for (std::size_t q = 0; q < batch.size(); ++q) {
+      ExpectSameEntries(oracle.TopR(batch[q].r, batch[q].k), results[q],
+                        label + " method=" + searcher.name() +
+                            " q=" + std::to_string(q) +
+                            " k=" + std::to_string(batch[q].k) +
+                            " r=" + std::to_string(batch[q].r) +
+                            " threads=" + std::to_string(threads));
+    }
   }
 }
 
 class BatchDifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(BatchDifferentialTest, BatchMatchesPerQuerySearchAtAnyThreadCount) {
+TEST_P(BatchDifferentialTest, BatchMatchesNaiveTopRAtAnyThreadCount) {
   const GraphCase test_case = TestGraphs()[GetParam()];
   SearcherSet searchers(test_case.graph);
-
-  for (DiversitySearcher* searcher : searchers.All()) {
+  for (const auto& [searcher, oracle] : searchers.All()) {
     for (std::uint64_t seed : {11u, 23u}) {
-      const std::vector<BatchQuery> batch =
-          RandomBatch(seed + GetParam() * 100, /*size=*/5);
+      ExpectBatchMatchesOracle(*searcher, *oracle,
+                               RandomBatch(seed + GetParam() * 100, 5),
+                               test_case.name + " seed=" +
+                                   std::to_string(seed));
+    }
+  }
+}
 
-      // Sequential per-query ground truth.
-      searcher->set_query_options(QueryOptions{});
-      std::vector<TopRResult> reference;
-      for (const BatchQuery& query : batch) {
-        reference.push_back(searcher->TopR(query.r, query.k));
+// A many-query batch shares one scan across its queries; each answer must
+// still equal the query's one-query batch, TopR.
+TEST_P(BatchDifferentialTest, BatchEqualsItsOneQueryBatches) {
+  const GraphCase test_case = TestGraphs()[GetParam()];
+  SearcherSet searchers(test_case.graph);
+  const std::vector<BatchQuery> batch = RandomBatch(37 + GetParam(), 8);
+  for (const auto& [searcher, oracle] : searchers.All()) {
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+      QuerySession session = SessionWithThreads(threads);
+      const std::vector<TopRResult> results =
+          searcher->SearchBatch(batch, session);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        ExpectSameEntries(searcher->TopR(batch[q].r, batch[q].k, session),
+                          results[q],
+                          test_case.name + " method=" + searcher->name() +
+                              " q=" + std::to_string(q) +
+                              " threads=" + std::to_string(threads));
       }
-
-      for (std::uint32_t threads : {1u, 2u, 8u}) {
-        QueryOptions options;
-        options.num_threads = threads;
-        searcher->set_query_options(options);
-        const std::vector<TopRResult> results = searcher->SearchBatch(batch);
-        ASSERT_EQ(results.size(), batch.size());
-        for (std::size_t q = 0; q < batch.size(); ++q) {
-          ExpectSameEntries(
-              reference[q], results[q],
-              test_case.name + " method=" + searcher->name() +
-                  " seed=" + std::to_string(seed) +
-                  " k=" + std::to_string(batch[q].k) +
-                  " r=" + std::to_string(batch[q].r) +
-                  " threads=" + std::to_string(threads));
-        }
-      }
-      searcher->set_query_options(QueryOptions{});
     }
   }
 }
@@ -145,63 +239,66 @@ INSTANTIATE_TEST_SUITE_P(Graphs, BatchDifferentialTest,
                            return TestGraphs()[info.param].name;
                          });
 
-// The dynamic index answers batches with the TSD multi-k slice sweep over
-// its maintained forest slices; it must stay bit-identical to per-query
-// TopR at any thread count, including after maintenance updates.
-TEST(BatchDifferentialTest, DynamicIndexAmortizedBatchPathMatches) {
+// The dynamic index sweeps its maintained forest slices; after maintenance
+// updates its answers must equal the naive top-r of the updated graph.
+TEST(BatchDifferentialTest, DynamicIndexMatchesNaiveAfterUpdates) {
   const Graph g = HolmeKim(150, 5, 0.5, 7);
   DynamicTsdIndex dynamic(g);
   const std::vector<BatchQuery> batch = {{4, 5}, {2, 10}, {4, 5}, {3, 1}};
-  auto check = [&](const std::string& label) {
-    std::vector<TopRResult> reference;
-    for (const BatchQuery& query : batch) {
-      reference.push_back(dynamic.TopR(query.r, query.k));
-    }
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-      dynamic.set_query_options(QueryOptions{threads, 0});
-      const std::vector<TopRResult> results = dynamic.SearchBatch(batch);
-      ASSERT_EQ(results.size(), batch.size());
-      for (std::size_t q = 0; q < batch.size(); ++q) {
-        ExpectSameEntries(reference[q], results[q],
-                          label + " q=" + std::to_string(q) +
-                              " threads=" + std::to_string(threads));
-      }
-    }
-    dynamic.set_query_options(QueryOptions{});
-  };
-  check("dynamic");
+  {
+    Oracle oracle = NaiveTrussOracle(g);
+    ExpectBatchMatchesOracle(dynamic, oracle, batch, "dynamic");
+  }
   dynamic.InsertEdge(0, 149);
   dynamic.RemoveEdge(0, 1);
-  check("dynamic-after-updates");
+  const Graph updated = dynamic.graph().ToGraph();
+  Oracle oracle = NaiveTrussOracle(updated);
+  ExpectBatchMatchesOracle(dynamic, oracle, batch, "dynamic-after-updates");
 }
 
-// Degenerate batches: empty, single query, every threshold dead (score 0
-// everywhere), and r larger than the graph.
+// Degenerate batches on every searcher: empty, a single query, thresholds
+// where every score is 0, and r larger than the graph (every vertex
+// returned).
 TEST(BatchDifferentialTest, DegenerateBatches) {
   const Graph g = PaperFigure1Graph();
-  OnlineSearcher online(g);
+  SearcherSet searchers(g);
+  const std::vector<BatchQuery> single = {{4, 1}};
+  const std::vector<BatchQuery> batch = {{4, 1}, {9, 3}, {2, 200}, {5, 1}};
+  for (const auto& [searcher, oracle] : searchers.All()) {
+    QuerySession session;
+    EXPECT_TRUE(searcher->SearchBatch({}, session).empty()) << searcher->name();
+    ExpectBatchMatchesOracle(*searcher, *oracle, single, "degenerate single");
+    ExpectBatchMatchesOracle(*searcher, *oracle, batch, "degenerate");
+  }
+}
 
-  EXPECT_TRUE(online.SearchBatch({}).empty());
-
-  const std::vector<BatchQuery> batch = {
-      {4, 1}, {9, 3}, {2, 200}, {5, 1}};
-  std::vector<TopRResult> reference;
-  for (const BatchQuery& query : batch) {
-    reference.push_back(
-        online.TopR(std::min(query.r, g.num_vertices()), query.k));
+// The query checks run in every build mode: r = 0 and a threshold below
+// the model's smallest (k = 1 for the truss searchers, k = 0 for the
+// baselines, which accept k = 1) throw from TopR and from SearchBatch, and
+// so do the TSD score kernels at k = 1.
+TEST(BatchDifferentialTest, EverySearcherRejectsInvalidQueries) {
+  const Graph g = PaperFigure1Graph();
+  SearcherSet searchers(g);
+  for (const auto& [searcher, oracle] : searchers.All()) {
+    const bool baseline =
+        searcher == &searchers.comp || searcher == &searchers.core;
+    const std::uint32_t bad_k = baseline ? 0 : 1;
+    QuerySession session;
+    EXPECT_THROW(searcher->TopR(0, 3, session), CheckError)
+        << searcher->name();
+    EXPECT_THROW(searcher->TopR(3, bad_k, session), CheckError)
+        << searcher->name();
+    for (const BatchQuery bad : {BatchQuery{3, 0}, BatchQuery{bad_k, 3}}) {
+      const std::vector<BatchQuery> batch = {{3, 3}, bad};
+      EXPECT_THROW(searcher->SearchBatch(batch, session), CheckError)
+          << searcher->name() << " k=" << bad.k << " r=" << bad.r;
+    }
+    if (baseline) {
+      EXPECT_NO_THROW(searcher->TopR(3, 1, session)) << searcher->name();
+    }
   }
-  // r is clamped by the collector only through the candidate count, so pass
-  // the clamped r to both sides.
-  std::vector<BatchQuery> clamped = batch;
-  for (BatchQuery& query : clamped) {
-    query.r = std::min(query.r, g.num_vertices());
-  }
-  const std::vector<TopRResult> results = online.SearchBatch(clamped);
-  ASSERT_EQ(results.size(), clamped.size());
-  for (std::size_t q = 0; q < clamped.size(); ++q) {
-    ExpectSameEntries(reference[q], results[q],
-                      "degenerate q=" + std::to_string(q));
-  }
+  EXPECT_THROW(searchers.tsd.Score(0, 1), CheckError);
+  EXPECT_THROW(searchers.dynamic.Score(0, 1), CheckError);
 }
 
 // The multi-threshold sweep must reproduce ScoreFromEgoTrussness exactly,

@@ -17,6 +17,7 @@
 #include "core/tsd_index.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "reference_impls.h"
 #include "serve_test_util.h"
 
 namespace tsd {
@@ -85,8 +86,6 @@ void ExpectMatchesFreshBuild(const DynamicTsdIndex& dynamic) {
   for (VertexId v = 0; v < snapshot.num_vertices(); ++v) {
     for (std::uint32_t k = 2; k <= 6; ++k) {
       ASSERT_EQ(dynamic.Score(v, k), fresh.Score(v, k))
-          << "v=" << v << " k=" << k;
-      ASSERT_EQ(dynamic.ScoreUpperBound(v, k), fresh.ScoreUpperBound(v, k))
           << "v=" << v << " k=" << k;
     }
   }
@@ -228,6 +227,14 @@ TEST(DynamicTsdIndexTest, BatchMatchesAfterTableGrowth) {
   ASSERT_EQ(fresh.num_vertices(), kInitial + 400);
   const std::vector<BatchQuery> queries = {
       {2, 1}, {3, 5}, {4, 3}, {5, 1}, {3, 10}};
+  // An unpruned scan of the fresh index reads no ceiling at all.
+  std::vector<TopRResult> unpruned;
+  for (const BatchQuery& q : queries) {
+    unpruned.push_back(
+        testing::ReferenceRanking(fresh.num_vertices(), [&](VertexId v) {
+          return fresh.ScoreWithContexts(v, q.k);
+        }).TopR(q.r));
+  }
   for (std::uint32_t threads : {1u, 2u, 8u}) {
     QueryOptions options;
     options.num_threads = threads;
@@ -244,10 +251,7 @@ TEST(DynamicTsdIndexTest, BatchMatchesAfterTableGrowth) {
                                 " q=" + std::to_string(q);
       test::ExpectSameEntries(from_freeze[q], actual[q], where + " freeze");
       test::ExpectSameEntries(from_build[q], actual[q], where + " build");
-      // Per-query TopR reads no ceiling at all.
-      test::ExpectSameEntries(
-          fresh.TopR(queries[q].r, queries[q].k, session), actual[q],
-          where + " build TopR");
+      test::ExpectSameEntries(unpruned[q], actual[q], where + " unpruned");
     }
   }
 }
@@ -258,7 +262,8 @@ TEST(DynamicTsdIndexTest, TopRReportsPhaseTimings) {
   const TsdIndex frozen = dynamic.Freeze();
   QuerySession session;
   const TopRResult result = dynamic.TopR(5, 3, session);
-  EXPECT_GT(result.stats.preprocess_seconds, 0.0);
+  // The ceiling sweep has no preprocess phase (no bound pass, no order).
+  EXPECT_EQ(result.stats.preprocess_seconds, 0.0);
   EXPECT_GT(result.stats.score_seconds, 0.0);
   EXPECT_GT(result.stats.context_seconds, 0.0);
   EXPECT_EQ(result.stats.vertices_scored,

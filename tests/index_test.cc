@@ -1,5 +1,5 @@
 // Tests specific to the TSD-index and GCT-index data structures:
-// serialization round trips, structural invariants, bounds, build stats,
+// serialization round trips, structural invariants, build stats,
 // and kernel-choice independence.
 #include <gtest/gtest.h>
 
@@ -7,14 +7,11 @@
 #include <fstream>
 
 #include "common/check.h"
-#include "core/bound_search.h"
-#include "core/dynamic_tsd_index.h"
 #include "core/gct_index.h"
 #include "core/online_search.h"
 #include "core/tsd_index.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
-#include "graph/triangle.h"
 
 namespace tsd {
 namespace {
@@ -35,7 +32,6 @@ TEST(TsdIndexTest, SaveLoadRoundTripPreservesAllScores) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (std::uint32_t k = 2; k <= 6; ++k) {
       EXPECT_EQ(loaded.Score(v, k), built.Score(v, k));
-      EXPECT_EQ(loaded.ScoreUpperBound(v, k), built.ScoreUpperBound(v, k));
     }
   }
   std::filesystem::remove(path);
@@ -49,44 +45,6 @@ TEST(TsdIndexTest, LoadRejectsCorruptFile) {
   }
   EXPECT_THROW(TsdIndex::Load(path), CheckError);
   std::filesystem::remove(path);
-}
-
-TEST(TsdIndexTest, UpperBoundDominatesScore) {
-  Graph g = MakeDataset("wiki-vote", "tiny");
-  TsdIndex index = TsdIndex::Build(g);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (std::uint32_t k = 2; k <= 7; ++k) {
-      EXPECT_GE(index.ScoreUpperBound(v, k), index.Score(v, k))
-          << "v=" << v << " k=" << k;
-    }
-  }
-}
-
-// s̃core divides by k-1, so k < 2 must be rejected in every build mode rather
-// than divide by zero; the same holds for the dynamic index.
-TEST(TsdIndexTest, UpperBoundRejectsKBelowTwo) {
-  Graph g = PaperFigure1Graph();
-  TsdIndex index = TsdIndex::Build(g);
-  EXPECT_THROW(index.ScoreUpperBound(0, 1), CheckError);
-  EXPECT_THROW(index.Score(0, 1), CheckError);
-  DynamicTsdIndex dynamic(g);
-  EXPECT_THROW(dynamic.ScoreUpperBound(0, 1), CheckError);
-  EXPECT_THROW(dynamic.Score(0, 1), CheckError);
-}
-
-TEST(TsdIndexTest, TsdBoundTighterThanLemma2OnAverage) {
-  // The paper's Exp-1 observation: s̃core prunes harder than score̅.
-  Graph g = MakeDataset("wiki-vote", "tiny");
-  TsdIndex index = TsdIndex::Build(g);
-  const auto ego_edges = TrianglesPerVertex(g);
-  const auto lemma2 = BoundSearcher::UpperBounds(g, ego_edges, 4);
-  std::uint64_t tsd_total = 0;
-  std::uint64_t lemma2_total = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    tsd_total += index.ScoreUpperBound(v, 4);
-    lemma2_total += lemma2[v];
-  }
-  EXPECT_LE(tsd_total, lemma2_total);
 }
 
 TEST(TsdIndexTest, ForestEdgesBoundedByMembers) {

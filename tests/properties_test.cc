@@ -125,17 +125,6 @@ TEST_P(ModelPropertyTest, ContextUnionMatchesDirectDecomposition) {
   }
 }
 
-// The TSD s̃core bound dominates the true score for every vertex and k.
-TEST_P(ModelPropertyTest, TsdBoundDominatesScore) {
-  TsdIndex index = TsdIndex::Build(graph());
-  for (VertexId v = 0; v < graph().num_vertices(); ++v) {
-    for (std::uint32_t k = 2; k <= 8; ++k) {
-      EXPECT_GE(index.ScoreUpperBound(v, k), index.Score(v, k))
-          << "v=" << v << " k=" << k;
-    }
-  }
-}
-
 // Global k-trusses are nested: the (k+1)-truss edge set is a subset of the
 // k-truss edge set.
 TEST_P(ModelPropertyTest, GlobalTrussesNested) {

@@ -165,9 +165,9 @@ TEST(QueryPipelineTest, ParallelPruningIsConservative) {
   ExpectSameEntries(sequential, parallel, "figure1 bound threads=4");
 }
 
-// Direct pipeline exercise: ScoreOrdered must honour bound order with both
-// sequential and round-based pruning, and the collector must end up with
-// the smallest-id zero-score answers either way.
+// Direct pipeline exercise: ScoreOrderedMulti with one collector must
+// honour bound order with both sequential and round-based pruning, and the
+// collector must end up with the smallest-id zero-score answers either way.
 TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
   const Graph g = HolmeKim(120, 4, 0.5, 13);
   for (std::uint32_t threads : {1u, 4u}) {
@@ -181,9 +181,10 @@ TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
     std::vector<std::uint32_t> bounds(g.num_vertices(), 0);
     for (VertexId v = 0; v < g.num_vertices(); ++v) order[v] = v;
     TopRCollector collector(3);
-    const std::uint64_t scored = pipeline.ScoreOrdered(
-        order, bounds, &collector,
-        [](QueryWorkspace&, VertexId) { return 0u; });
+    TopRCollector* const collectors[] = {&collector};
+    const std::uint64_t scored = pipeline.ScoreOrderedMulti(
+        order, bounds, collectors,
+        [](QueryWorkspace&, VertexId, std::uint32_t* score) { *score = 0; });
     EXPECT_LT(scored, g.num_vertices());
     const auto ranked = collector.Ranked();
     ASSERT_EQ(ranked.size(), 3u);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/disjoint_set.h"
+#include "core/types.h"
 #include "graph/graph.h"
 
 namespace tsd::testing {
@@ -152,5 +153,36 @@ NaiveScore(const Graph& g, VertexId v, std::uint32_t k) {
   std::sort(contexts.begin(), contexts.end());
   return {static_cast<std::uint32_t>(contexts.size()), contexts};
 }
+
+/// Every vertex's (score, contexts) under one model and threshold, ranked
+/// by definition: score descending, ties by ascending id. TopR(r) keeps the
+/// first min(r, n): the one answer every top-r search must return.
+class ReferenceRanking {
+ public:
+  /// `score_of(v)` returns v's score and contexts (a pair or ScoreResult).
+  template <typename ScoreOf>
+  ReferenceRanking(VertexId n, ScoreOf&& score_of) {
+    all_.reserve(n);
+    for (VertexId v = 0; v < n; ++v) {
+      auto [score, contexts] = score_of(v);
+      all_.push_back(TopREntry{v, score, std::move(contexts)});
+    }
+    // Ids are ascending already, so a stable sort by score breaks ties.
+    std::stable_sort(all_.begin(), all_.end(),
+                     [](const TopREntry& a, const TopREntry& b) {
+                       return a.score > b.score;
+                     });
+  }
+
+  TopRResult TopR(std::uint32_t r) const {
+    TopRResult result;
+    result.entries.assign(
+        all_.begin(), all_.begin() + std::min<std::size_t>(r, all_.size()));
+    return result;
+  }
+
+ private:
+  std::vector<TopREntry> all_;
+};
 
 }  // namespace tsd::testing

@@ -240,18 +240,6 @@ TEST(PaperExampleTest, Figure1ScoreByK) {
   EXPECT_EQ(gct.Score(0, 5), 0u);
 }
 
-// Upper bounds from the paper's Example 3.
-TEST(PaperExampleTest, Figure1UpperBounds) {
-  Graph g = PaperFigure1Graph();
-  TsdIndex tsd = TsdIndex::Build(g);
-  // s̃core(v) at k=4: 11 forest edges of weight >= 4, / (k-1) = 3.
-  EXPECT_EQ(tsd.ScoreUpperBound(0, 4), 3u);
-  EXPECT_GE(tsd.ScoreUpperBound(0, 4), tsd.Score(0, 4));
-  // x1's bound is ⌊5/4⌋ = 1 in the Lemma 2 sense; the TSD bound is at least
-  // as tight.
-  EXPECT_LE(tsd.ScoreUpperBound(1, 4), 1u);
-}
-
 // The Lemma 2 bound divides by k(k-1)/2, so k < 2 must be rejected in every
 // build mode rather than divide by zero.
 TEST(PaperExampleTest, UpperBoundRejectsKBelowTwo) {

@@ -356,8 +356,8 @@ TEST(OneShardServeTest, AdmissionControlRejectsDeterministically) {
 TEST(OneShardServeTest, ThrowingSearcherFailsRequestsNotTheServer) {
   class ThrowingSearcher : public DiversitySearcher {
    public:
-    TopRResult TopR(std::uint32_t, std::uint32_t,
-                    QuerySession&) const override {
+    std::vector<TopRResult> SearchBatch(std::span<const BatchQuery>,
+                                        QuerySession&) const override {
       throw CheckError("synthetic query failure");
     }
     std::string name() const override { return "throwing"; }

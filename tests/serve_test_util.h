@@ -1,6 +1,6 @@
-// Shared reply-comparison helpers for the serving-layer suites
-// (serve_test.cc, sharded_serve_test.cc): "bit-identical to serial TopR"
-// means vertex, score, AND contexts match rank for rank.
+// Shared answer-comparison helpers for the serving-layer and query-path
+// suites: "bit-identical" means vertex, score, AND contexts match rank for
+// rank.
 #pragma once
 
 #include <gtest/gtest.h>
