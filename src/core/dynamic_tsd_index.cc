@@ -3,12 +3,11 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "core/max_spanning_forest.h"
 
 namespace tsd {
 
-DynamicTsdIndex::DynamicTsdIndex(const Graph& initial, EgoTrussMethod method)
-    : graph_(initial), method_(method), maint_decomposer_(method) {
+DynamicTsdIndex::DynamicTsdIndex(const Graph& initial)
+    : graph_(initial), builder_(graph_) {
   // Construction is single-threaded: this thread is trivially the
   // serialized updater, and no reader can hold a pin yet.
   updater_role_.Assert();
@@ -34,55 +33,19 @@ DynamicTsdIndex::~DynamicTsdIndex() {
   delete view;
 }
 
-void DynamicTsdIndex::ExtractEgo(VertexId center, EgoNetwork* out) const {
-  out->center = center;
-  const auto nbrs = graph_.neighbors(center);
-  out->members.assign(nbrs.begin(), nbrs.end());
-  out->edges.clear();
-  out->offsets.clear();
-  out->adj.clear();
-  out->adj_edge_ids.clear();
-  // Members are few; a per-call sorted lookup is fine for maintenance work.
-  for (std::uint32_t i = 0; i < out->members.size(); ++i) {
-    const VertexId u = out->members[i];
-    for (VertexId w : graph_.neighbors(u)) {
-      if (w <= u) continue;
-      const std::uint32_t j = out->ToLocal(w);
-      if (j != kInvalidVertex) out->edges.push_back(Edge{i, j});
-    }
-  }
-  std::sort(out->edges.begin(), out->edges.end());
-}
-
 void DynamicTsdIndex::RebuildVertex(VertexId v) {
   rebuild_count_.fetch_add(1, std::memory_order_relaxed);
-  ExtractEgo(v, &maint_ego_);
-  maint_decomposer_.ComputeInto(maint_ego_, &maint_trussness_);
-
-  maint_u_.clear();
-  maint_v_.clear();
-  maint_weight_.clear();
-  internal::MaximumSpanningForest(
-      maint_ego_, maint_trussness_, maint_dsu_,
-      [&](VertexId gu, VertexId gv, std::uint32_t w) {
-        maint_u_.push_back(gu);
-        maint_v_.push_back(gv);
-        maint_weight_.push_back(w);
-      });
-  const VertexId universe = graph_.num_vertices();
-  maint_level_.clear();
-  maint_level_score_.clear();
-  forest::AppendScoreProfile(universe, maint_u_, maint_v_, maint_weight_,
-                             maint_ids_, &maint_level_, &maint_level_score_);
+  columns_.Clear();
+  builder_.Append(v, &columns_);
 
   // Pack the columns into the slice's one allocation, sized exactly.
   auto* slice = new ForestSlice;
-  slice->universe = universe;
-  slice->num_edges = static_cast<std::uint32_t>(maint_weight_.size());
-  slice->packed.reserve(3 * maint_weight_.size() + 2 * maint_level_.size());
+  slice->universe = graph_.num_vertices();
+  slice->num_edges = columns_.num_edges.front();
+  slice->packed.reserve(3 * columns_.weight.size() + 2 * columns_.level.size());
   for (const std::vector<std::uint32_t>* column :
-       {&maint_u_, &maint_v_, &maint_weight_, &maint_level_,
-        &maint_level_score_}) {
+       {&columns_.u, &columns_.v, &columns_.weight, &columns_.level,
+        &columns_.level_score}) {
     slice->packed.insert(slice->packed.end(), column->begin(), column->end());
   }
 
@@ -197,39 +160,11 @@ std::vector<TopRResult> DynamicTsdIndex::SearchBatch(
 TsdIndex DynamicTsdIndex::Freeze() const {
   EpochGuard guard(epochs_);
   const ForestView& view = CurrentView();
-  TsdIndex index;
-  const VertexId n = view.num_vertices;
-  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
-  std::vector<VertexId> edge_u;
-  std::vector<VertexId> edge_v;
-  std::vector<std::uint32_t> weight;
-  std::vector<std::uint64_t> level_offsets(std::size_t{n} + 1, 0);
-  std::vector<std::uint32_t> level;
-  std::vector<std::uint32_t> level_score;
-  for (VertexId v = 0; v < n; ++v) {
-    const ForestSliceView slice = SliceOf(view, v);
-    edge_u.insert(edge_u.end(), slice.u.begin(), slice.u.end());
-    edge_v.insert(edge_v.end(), slice.v.begin(), slice.v.end());
-    weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
-    level.insert(level.end(), slice.level.begin(), slice.level.end());
-    level_score.insert(level_score.end(), slice.level_score.begin(),
-                       slice.level_score.end());
-    level_offsets[v + 1] = level.size();
-    // Weights are sorted descending, so the first is the slice's maximum.
-    if (!slice.weight.empty()) {
-      index.max_weight_ = std::max(index.max_weight_, slice.weight.front());
-    }
-    offsets[v + 1] = edge_u.size();
+  std::vector<ForestColumns> columns(1);
+  for (VertexId v = 0; v < view.num_vertices; ++v) {
+    columns.front().Append(SliceOf(view, v));
   }
-  index.offsets_ = std::move(offsets);
-  index.edge_u_ = std::move(edge_u);
-  index.edge_v_ = std::move(edge_v);
-  index.weight_ = std::move(weight);
-  index.level_offsets_ = std::move(level_offsets);
-  index.level_ = std::move(level);
-  index.level_score_ = std::move(level_score);
-  index.DeriveCeilings();
-  return index;
+  return TsdIndex::FromColumns(std::move(columns));
 }
 
 }  // namespace tsd

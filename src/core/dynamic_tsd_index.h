@@ -10,8 +10,10 @@
 // its incident ego edges), and each common neighbor w gains/loses the ego
 // edge (u, v). The maintainer rebuilds exactly those |A| per-vertex forests
 // (each an O(ρ_v · m_v) local job) and leaves the rest of the index
-// untouched. Property tests verify equality with a from-scratch rebuild
-// after every update.
+// untouched. Every slice, at construction and after an update, comes from
+// the ForestSliceBuilder that TsdIndex::Build runs (core/forest_slice.h),
+// over the DynamicGraph instead of a CSR Graph. Property tests verify
+// equality with a from-scratch rebuild after every update.
 //
 // Concurrency contract (the epoch design; common/epoch.h):
 //  * Queries are const, lock-free, and safe *concurrently with updates*.
@@ -51,7 +53,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/disjoint_set.h"
 #include "common/epoch.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -62,16 +63,15 @@
 #include "core/tsd_index.h"
 #include "core/types.h"
 #include "graph/dynamic_graph.h"
-#include "truss/ego_truss.h"
 
 namespace tsd {
 
 class DynamicTsdIndex : public DiversitySearcher {
  public:
-  /// Builds the initial index from `initial` (equivalent to
+  /// Builds the initial index from `initial`, one vertex at a time on this
+  /// thread, with the slice builder of TsdIndex::Build (so it equals
   /// TsdIndex::Build on the same graph).
-  explicit DynamicTsdIndex(const Graph& initial,
-                           EgoTrussMethod method = EgoTrussMethod::kHash);
+  explicit DynamicTsdIndex(const Graph& initial);
 
   /// No readers or updaters may be in flight at destruction.
   ~DynamicTsdIndex() override;
@@ -213,8 +213,6 @@ class DynamicTsdIndex : public DiversitySearcher {
 
   // Update internals (serialized-updater side).
   void RebuildVertex(VertexId v) TSD_REQUIRES(updater_role_);
-  void ExtractEgo(VertexId center, EgoNetwork* out) const
-      TSD_REQUIRES(updater_role_);
 
   /// The serialized-updater capability (see the header contract): public
   /// update entry points claim it on behalf of their externally serialized
@@ -222,7 +220,6 @@ class DynamicTsdIndex : public DiversitySearcher {
   ThreadRole updater_role_;
 
   DynamicGraph graph_ TSD_GUARDED_BY(updater_role_);
-  const EgoTrussMethod method_;
 
   /// Reclamation authority over retired slices/tables/views. Mutable: the
   /// const query paths pin and unpin reader epochs.
@@ -230,20 +227,10 @@ class DynamicTsdIndex : public DiversitySearcher {
   std::atomic<ForestView*> view_{nullptr};
   std::atomic<std::uint64_t> rebuild_count_{0};
 
-  // Maintenance scratch, reused across every RebuildVertex call so the
-  // update path performs no per-vertex ego/decomposer construction.
-  EgoNetwork maint_ego_ TSD_GUARDED_BY(updater_role_);
-  EgoTrussDecomposer maint_decomposer_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_trussness_ TSD_GUARDED_BY(updater_role_);
-  DisjointSet maint_dsu_ TSD_GUARDED_BY(updater_role_);
-  // Forest edges as u | v | weight columns and the score profile, before
-  // packing into a slice.
-  std::vector<std::uint32_t> maint_u_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_v_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_weight_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_level_ TSD_GUARDED_BY(updater_role_);
-  std::vector<std::uint32_t> maint_level_score_ TSD_GUARDED_BY(updater_role_);
-  DenseIdMap maint_ids_ TSD_GUARDED_BY(updater_role_);
+  // Maintenance scratch, reused across every RebuildVertex call: the slice
+  // builder over graph_, and the columns it fills before they are packed.
+  ForestSliceBuilder<DynamicGraph> builder_ TSD_GUARDED_BY(updater_role_);
+  ForestColumns columns_ TSD_GUARDED_BY(updater_role_);
 };
 
 }  // namespace tsd

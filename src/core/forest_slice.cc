@@ -2,7 +2,82 @@
 
 #include <algorithm>
 
-namespace tsd::forest {
+namespace tsd {
+
+void ForestColumns::Append(const ForestSliceView& slice) {
+  u.insert(u.end(), slice.u.begin(), slice.u.end());
+  v.insert(v.end(), slice.v.begin(), slice.v.end());
+  weight.insert(weight.end(), slice.weight.begin(), slice.weight.end());
+  level.insert(level.end(), slice.level.begin(), slice.level.end());
+  level_score.insert(level_score.end(), slice.level_score.begin(),
+                     slice.level_score.end());
+  num_edges.push_back(static_cast<std::uint32_t>(slice.weight.size()));
+  num_levels.push_back(static_cast<std::uint32_t>(slice.level.size()));
+}
+
+void ForestColumns::Clear() {
+  for (std::vector<std::uint32_t>* column :
+       {&u, &v, &weight, &level, &level_score, &num_edges, &num_levels}) {
+    column->clear();
+  }
+}
+
+template <typename Adjacency>
+void ForestSliceBuilder<Adjacency>::Append(VertexId v, ForestColumns* out) {
+  {
+    ScopedTimer t(&stats_.extraction_seconds);
+    extractor_.ExtractInto(v, &ego_);
+  }
+  {
+    ScopedTimer t(&stats_.decomposition_seconds);
+    decomposer_.ComputeInto(ego_, &trussness_);
+  }
+  ScopedTimer t(&stats_.assembly_seconds);
+  // Kruskal over the ego edges by weight descending: a stable counting sort
+  // keeps ties in edge-id order, so the forest is deterministic.
+  const std::uint32_t max_weight =
+      trussness_.empty() ? 0
+                         : *std::max_element(trussness_.begin(),
+                                             trussness_.end());
+  bucket_.assign(std::size_t{max_weight} + 1, 0);
+  for (std::uint32_t w : trussness_) ++bucket_[w];
+  std::uint32_t cursor = 0;
+  for (std::uint32_t w = max_weight + 1; w-- > 0;) {
+    const std::uint32_t count = bucket_[w];
+    bucket_[w] = cursor;
+    cursor += count;
+  }
+  by_weight_.resize(trussness_.size());
+  for (EdgeId e = 0; e < trussness_.size(); ++e) {
+    by_weight_[bucket_[trussness_[e]]++] = e;
+  }
+  const std::size_t first_edge = out->weight.size();
+  dsu_.Reset(ego_.num_members());
+  for (EdgeId e : by_weight_) {
+    const auto [a, b] = ego_.edges[e];
+    if (dsu_.Union(a, b)) {
+      out->u.push_back(ego_.ToGlobal(a));
+      out->v.push_back(ego_.ToGlobal(b));
+      out->weight.push_back(trussness_[e]);
+    }
+  }
+
+  const std::size_t first_level = out->level.size();
+  forest::AppendScoreProfile(extractor_.graph().num_vertices(),
+                             std::span(out->u).subspan(first_edge),
+                             std::span(out->v).subspan(first_edge),
+                             std::span(out->weight).subspan(first_edge), ids_,
+                             &out->level, &out->level_score);
+  out->num_edges.push_back(
+      static_cast<std::uint32_t>(out->weight.size() - first_edge));
+  out->num_levels.push_back(
+      static_cast<std::uint32_t>(out->level.size() - first_level));
+}
+
+template class ForestSliceBuilder<Graph>;
+template class ForestSliceBuilder<DynamicGraph>;
+
+namespace forest {
 
 void AppendScoreProfile(VertexId universe, std::span<const VertexId> u,
                         std::span<const VertexId> v,
@@ -97,4 +172,5 @@ void ScoresForThresholds(const ForestSliceView& slice,
   }
 }
 
-}  // namespace tsd::forest
+}  // namespace forest
+}  // namespace tsd

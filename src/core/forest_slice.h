@@ -10,13 +10,17 @@
 // the driver below a ForestSliceView, so the two indexes share one
 // implementation of every query.
 //
-// The score profile is computed once per slice, by AppendScoreProfile, when
-// the slice is built (or, for a mapped TsdIndex, loaded): `level` holds the
-// slice's distinct weights in descending order and `level_score[i]` the
-// exact score at threshold level[i], |endpoints| − |edges| of the prefix of
-// edges with weight ≥ level[i] (by the forest property, its component
-// count). The score at any k is that of the smallest level ≥ k, or 0, so
-// the score kernels walk O(levels) and need no scratch.
+// Every slice is built by one ForestSliceBuilder (TsdIndex::Build, and
+// DynamicTsdIndex's constructor and updates): Algorithm 5's per-vertex job
+// of ego extraction, ego truss decomposition, maximum spanning forest and
+// score profile, appended to a ForestColumns. The score profile is computed
+// once per slice, by AppendScoreProfile, when the slice is built (or, for a
+// mapped TsdIndex, loaded): `level` holds the slice's distinct weights in
+// descending order and `level_score[i]` the exact score at threshold
+// level[i], |endpoints| − |edges| of the prefix of edges with weight ≥
+// level[i] (by the forest property, its component count). The score at any
+// k is that of the smallest level ≥ k, or 0, so the score kernels walk
+// O(levels) and need no scratch.
 //
 //   Score               — the profile entry of the smallest level ≥ k.
 //   ScoreWithContexts   — the weight-≥k prefix, materialized into contexts.
@@ -43,6 +47,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/disjoint_set.h"
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/query_pipeline.h"
@@ -51,6 +56,10 @@
 #include "core/scoring.h"
 #include "core/top_r_collector.h"
 #include "core/types.h"
+#include "graph/dynamic_graph.h"
+#include "graph/ego_network.h"
+#include "graph/graph.h"
+#include "truss/ego_truss.h"
 
 namespace tsd {
 
@@ -77,6 +86,67 @@ struct ScoreCeiling {
     return k > top_level ? 0 : max_score;
   }
 };
+
+/// Timing breakdown of index construction (feeds Tables 3 and 4).
+struct IndexBuildStats {
+  double extraction_seconds = 0;     // ego-network extraction
+  double decomposition_seconds = 0;  // ego-network truss decomposition
+  double assembly_seconds = 0;       // forest / supernode assembly
+  double total_seconds = 0;
+};
+
+/// Forest slices of consecutive vertices as columns: the slices' edges
+/// (u | v | weight, weights descending per slice) and score profiles
+/// (level | level_score), plus each slice's edge and level count, in vertex
+/// order.
+struct ForestColumns {
+  std::vector<VertexId> u;
+  std::vector<VertexId> v;
+  std::vector<std::uint32_t> weight;
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> level_score;
+  std::vector<std::uint32_t> num_edges;   // per slice
+  std::vector<std::uint32_t> num_levels;  // per slice
+
+  /// Appends a copy of `slice` as the next slice.
+  void Append(const ForestSliceView& slice);
+  void Clear();
+};
+
+/// Builds forest slices one vertex at a time over a Graph or a
+/// DynamicGraph: extracts v's ego network, decomposes it, takes its maximum
+/// spanning forest (Kruskal with a counting sort on the small integer
+/// weights, so O(m_v + max weight)) and the forest's score profile. Owns
+/// all scratch, so repeated builds allocate only to grow it. Not
+/// thread-safe; create one builder per thread.
+template <typename Adjacency>
+class ForestSliceBuilder {
+ public:
+  explicit ForestSliceBuilder(const Adjacency& graph,
+                              EgoTrussMethod method = EgoTrussMethod::kHash)
+      : extractor_(graph), decomposer_(method) {}
+
+  /// Appends v's slice to `out`. Its endpoints are < the graph's current
+  /// vertex count.
+  void Append(VertexId v, ForestColumns* out);
+
+  /// Time spent in each phase, summed over every Append (no total).
+  const IndexBuildStats& stats() const { return stats_; }
+
+ private:
+  BasicEgoNetworkExtractor<Adjacency> extractor_;
+  EgoTrussDecomposer decomposer_;
+  EgoNetwork ego_;
+  std::vector<std::uint32_t> trussness_;
+  std::vector<std::uint32_t> by_weight_;  // ego edge ids, weight descending
+  std::vector<std::uint32_t> bucket_;     // counting-sort cursors per weight
+  DisjointSet dsu_;
+  DenseIdMap ids_;
+  IndexBuildStats stats_;
+};
+
+extern template class ForestSliceBuilder<Graph>;
+extern template class ForestSliceBuilder<DynamicGraph>;
 
 namespace forest {
 

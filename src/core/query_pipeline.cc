@@ -74,6 +74,15 @@ QueryPipeline::RoundRamp QueryPipeline::StartRamp(
           max_size};
 }
 
+std::uint64_t QueryPipeline::MaxCapacity(
+    std::span<TopRCollector* const> collectors) {
+  std::uint64_t capacity = 0;
+  for (const TopRCollector* collector : collectors) {
+    capacity = std::max<std::uint64_t>(capacity, collector->capacity());
+  }
+  return capacity;
+}
+
 QueryPipeline& PipelineCache::For(const Graph& graph, EgoTrussMethod method,
                                   const QueryOptions& options) {
   if (pipeline_ == nullptr || cached_options_ != options ||

@@ -164,8 +164,9 @@ class QueryPipeline {
   /// top of a set of candidates already scored; v is then neither scored
   /// nor offered. Such a v ranks below r real answers of every query, so
   /// entries do not change. With a skip predicate the range is split into
-  /// chunks that do not depend on the thread count. The first chunk runs
-  /// alone; every other chunk's collectors start as a copy of its answers.
+  /// chunks that do not depend on the thread count. The first chunk, at
+  /// least as large as the largest collector, runs alone; every other
+  /// chunk's collectors start as a copy of its answers.
   /// So what `locals` holds, and the returned count of scored candidates,
   /// do not depend on the thread count either.
   template <typename MultiScoreFn, typename SkipFn = ScoreEveryCandidate>
@@ -214,6 +215,9 @@ class QueryPipeline {
   /// The first round of a scan over `total` candidates whose largest
   /// collector holds `capacity` entries.
   RoundRamp StartRamp(std::uint64_t total, std::uint64_t capacity) const;
+
+  /// The largest capacity among `collectors`.
+  static std::uint64_t MaxCapacity(std::span<TopRCollector* const> collectors);
 
   // Chunks of a ScoreRangeMulti scan with a skip predicate when --chunks is
   // unset, at every thread count. The first chunk runs on one thread, so
@@ -294,11 +298,7 @@ std::uint64_t QueryPipeline::ScoreOrderedMulti(
   // the whole round. Round sizes follow the RoundRamp schedule.
   const std::uint32_t num_threads = options_.num_threads;
   const std::uint64_t total = order.size();
-  std::uint64_t max_capacity = 0;
-  for (TopRCollector* collector : collectors) {
-    max_capacity = std::max<std::uint64_t>(max_capacity, collector->capacity());
-  }
-  RoundRamp ramp = StartRamp(total, max_capacity);
+  RoundRamp ramp = StartRamp(total, MaxCapacity(collectors));
 
   std::vector<std::vector<TopRCollector>> locals(num_threads);
   std::vector<std::vector<std::uint32_t>> scores(num_threads);
@@ -398,9 +398,14 @@ std::uint64_t QueryPipeline::ScoreRangeMulti(
   if constexpr (kSkips) {
     // The first chunk runs alone, and every other chunk's collectors start
     // from its answers, so the other chunks skip from their first
-    // candidate on instead of scoring until their own collectors fill.
-    const std::uint64_t first_end =
-        (std::uint64_t{num_candidates} + num_chunks - 1) / num_chunks;
+    // candidate on instead of scoring until their own collectors fill. It
+    // holds at least as many candidates as the largest collector, or it
+    // could not fill it. Its size depends only on the candidates, the
+    // chunks and the collectors, never on the thread count.
+    const std::uint64_t first_end = std::min<std::uint64_t>(
+        num_candidates,
+        std::max((std::uint64_t{num_candidates} + num_chunks - 1) / num_chunks,
+                 MaxCapacity(collectors)));
     scan(0, 0, 0, first_end);
     for (std::uint32_t slot = 1; slot < num_slots; ++slot) {
       locals[slot] = locals[0];

@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/disjoint_set.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "core/max_spanning_forest.h"
 
 namespace tsd {
 namespace {
@@ -26,116 +24,77 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Per-chunk build output: forest edge and score-profile arrays plus
-/// per-vertex counts, so chunks concatenate in order into the final flat
-/// index.
-struct TsdChunk {
-  std::vector<VertexId> edge_u;
-  std::vector<VertexId> edge_v;
-  std::vector<std::uint32_t> weight;
-  std::vector<std::uint32_t> per_vertex_count;
-  std::vector<std::uint32_t> level;
-  std::vector<std::uint32_t> level_score;
-  std::vector<std::uint32_t> per_vertex_levels;
-  std::uint32_t max_weight = 0;
-  double extraction_seconds = 0;
-  double decomposition_seconds = 0;
-  double assembly_seconds = 0;
-};
-
 }  // namespace
 
 TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   TSD_CHECK(options.num_threads >= 1);
   WallTimer total;
-  TsdIndex index;
   const VertexId n = graph.num_vertices();
-  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
-  std::vector<VertexId> edge_u;
-  std::vector<VertexId> edge_v;
-  std::vector<std::uint32_t> weight;
-  std::vector<std::uint64_t> level_offsets(std::size_t{n} + 1, 0);
-  std::vector<std::uint32_t> level;
-  std::vector<std::uint32_t> level_score;
-
   const std::uint32_t num_chunks =
       EffectiveChunks(ParallelConfig{options.num_threads, 0}, n);
-  std::vector<TsdChunk> chunks(num_chunks);
-  std::vector<DenseIdMap> worker_ids(options.num_threads);
-
+  std::vector<ForestColumns> chunks(num_chunks);
+  std::vector<ForestSliceBuilder<Graph>> builders;
+  builders.reserve(options.num_threads);
+  for (std::uint32_t t = 0; t < options.num_threads; ++t) {
+    builders.emplace_back(graph, options.method);
+  }
   ParallelForChunksIndexed(
       n, num_chunks, options.num_threads,
       [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
           std::uint64_t end) {
-        TsdChunk& chunk = chunks[c];
-        chunk.per_vertex_count.reserve(end - begin);
-        chunk.per_vertex_levels.reserve(end - begin);
-        EgoNetworkExtractor extractor(graph);
-        EgoTrussDecomposer decomposer(options.method);
-        EgoNetwork ego;
-        DisjointSet dsu;
         for (std::uint64_t v = begin; v < end; ++v) {
-          {
-            ScopedTimer t(&chunk.extraction_seconds);
-            extractor.ExtractInto(static_cast<VertexId>(v), &ego);
-          }
-          std::vector<std::uint32_t> trussness;
-          {
-            ScopedTimer t(&chunk.decomposition_seconds);
-            trussness = decomposer.Compute(ego);
-          }
-          ScopedTimer t(&chunk.assembly_seconds);
-          const std::size_t before = chunk.edge_u.size();
-          internal::MaximumSpanningForest(
-              ego, trussness, dsu,
-              [&](VertexId gu, VertexId gv, std::uint32_t w) {
-                chunk.edge_u.push_back(gu);
-                chunk.edge_v.push_back(gv);
-                chunk.weight.push_back(w);
-                chunk.max_weight = std::max(chunk.max_weight, w);
-              });
-          const std::size_t count = chunk.edge_u.size() - before;
-          const std::size_t levels_before = chunk.level.size();
-          forest::AppendScoreProfile(
-              n, std::span(chunk.edge_u).subspan(before, count),
-              std::span(chunk.edge_v).subspan(before, count),
-              std::span(chunk.weight).subspan(before, count),
-              worker_ids[worker], &chunk.level, &chunk.level_score);
-          chunk.per_vertex_count.push_back(static_cast<std::uint32_t>(count));
-          chunk.per_vertex_levels.push_back(
-              static_cast<std::uint32_t>(chunk.level.size() - levels_before));
+          builders[worker].Append(static_cast<VertexId>(v), &chunks[c]);
         }
       });
 
-  // Merge chunks in order (chunk c covers a contiguous ascending vertex
-  // range, so concatenation preserves the per-vertex layout).
-  VertexId v = 0;
-  for (TsdChunk& chunk : chunks) {
-    for (std::size_t i = 0; i < chunk.per_vertex_count.size(); ++i, ++v) {
-      offsets[v + 1] = offsets[v] + chunk.per_vertex_count[i];
-      level_offsets[v + 1] = level_offsets[v] + chunk.per_vertex_levels[i];
-    }
-    edge_u.insert(edge_u.end(), chunk.edge_u.begin(), chunk.edge_u.end());
-    edge_v.insert(edge_v.end(), chunk.edge_v.begin(), chunk.edge_v.end());
-    weight.insert(weight.end(), chunk.weight.begin(), chunk.weight.end());
-    level.insert(level.end(), chunk.level.begin(), chunk.level.end());
-    level_score.insert(level_score.end(), chunk.level_score.begin(),
-                       chunk.level_score.end());
-    index.max_weight_ = std::max(index.max_weight_, chunk.max_weight);
-    index.build_stats_.extraction_seconds += chunk.extraction_seconds;
-    index.build_stats_.decomposition_seconds += chunk.decomposition_seconds;
-    index.build_stats_.assembly_seconds += chunk.assembly_seconds;
+  TsdIndex index = FromColumns(std::move(chunks));
+  TSD_CHECK(index.num_vertices() == n);
+  for (const ForestSliceBuilder<Graph>& builder : builders) {
+    const IndexBuildStats& stats = builder.stats();
+    index.build_stats_.extraction_seconds += stats.extraction_seconds;
+    index.build_stats_.decomposition_seconds += stats.decomposition_seconds;
+    index.build_stats_.assembly_seconds += stats.assembly_seconds;
   }
-  TSD_CHECK(v == n);
-  index.offsets_ = std::move(offsets);
-  index.edge_u_ = std::move(edge_u);
-  index.edge_v_ = std::move(edge_v);
-  index.weight_ = std::move(weight);
-  index.level_offsets_ = std::move(level_offsets);
-  index.level_ = std::move(level);
-  index.level_score_ = std::move(level_score);
-  index.DeriveCeilings();
   index.build_stats_.total_seconds = total.Seconds();
+  return index;
+}
+
+TsdIndex TsdIndex::FromColumns(std::vector<ForestColumns> parts) {
+  TSD_CHECK(!parts.empty());
+  // Append every later part to the first, column by column.
+  ForestColumns& all = parts.front();
+  for (std::vector<std::uint32_t> ForestColumns::*column :
+       {&ForestColumns::u, &ForestColumns::v, &ForestColumns::weight,
+        &ForestColumns::level, &ForestColumns::level_score,
+        &ForestColumns::num_edges, &ForestColumns::num_levels}) {
+    std::size_t size = 0;
+    for (const ForestColumns& part : parts) size += (part.*column).size();
+    (all.*column).reserve(size);
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      (all.*column).insert((all.*column).end(), (parts[i].*column).begin(),
+                           (parts[i].*column).end());
+    }
+  }
+  const std::size_t n = all.num_edges.size();
+  std::vector<std::uint64_t> offsets(n + 1, 0);
+  std::vector<std::uint64_t> level_offsets(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    offsets[v + 1] = offsets[v] + all.num_edges[v];
+    level_offsets[v + 1] = level_offsets[v] + all.num_levels[v];
+  }
+  TsdIndex index;
+  index.offsets_ = std::move(offsets);
+  index.edge_u_ = std::move(all.u);
+  index.edge_v_ = std::move(all.v);
+  index.weight_ = std::move(all.weight);
+  index.level_offsets_ = std::move(level_offsets);
+  index.level_ = std::move(all.level);
+  index.level_score_ = std::move(all.level_score);
+  index.DeriveCeilings();
+  // A slice's top level is its largest weight.
+  for (const ScoreCeiling& ceiling : index.ceilings_) {
+    index.max_weight_ = std::max(index.max_weight_, ceiling.top_level);
+  }
   return index;
 }
 

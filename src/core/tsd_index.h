@@ -35,18 +35,9 @@
 #include "core/query_session.h"
 #include "core/scoring.h"
 #include "core/types.h"
-#include "graph/ego_network.h"
 #include "truss/ego_truss.h"
 
 namespace tsd {
-
-/// Timing breakdown of index construction (feeds Tables 3 and 4).
-struct IndexBuildStats {
-  double extraction_seconds = 0;     // ego-network extraction
-  double decomposition_seconds = 0;  // ego-network truss decomposition
-  double assembly_seconds = 0;       // forest / supernode assembly
-  double total_seconds = 0;
-};
 
 class TsdIndex : public DiversitySearcher {
  public:
@@ -135,8 +126,13 @@ class TsdIndex : public DiversitySearcher {
   /// v's forest slice as a view into the flat arrays (checks v's range).
   ForestSliceView Slice(VertexId v) const;
 
-  /// Fills ceilings_ from the score profiles; every path that sets the
-  /// profiles (Build, LoadFromSnapshot, DynamicTsdIndex::Freeze) ends here.
+  /// The index over the slices of `parts`, concatenated in order (vertex 0
+  /// is the first slice of parts[0]): flat arrays, offsets, ceilings and
+  /// max weight. Build's chunk merge and DynamicTsdIndex::Freeze.
+  static TsdIndex FromColumns(std::vector<ForestColumns> parts);
+
+  /// Fills ceilings_ from the score profiles (FromColumns and
+  /// LoadFromSnapshot).
   void DeriveCeilings();
 
   // Per-vertex forest edges, flattened; each vertex's slice is sorted by

@@ -37,26 +37,15 @@ void EgoNetwork::BuildCsr() {
   // sorted for the same reason as in GraphBuilder::Build.
 }
 
-EgoNetworkExtractor::EgoNetworkExtractor(const Graph& graph)
-    : graph_(&graph), local_id_(graph.num_vertices(), 0) {}
-
-void EgoNetworkExtractor::Rebind(const Graph& graph) {
-  graph_ = &graph;
+template <typename Adjacency>
+void BasicEgoNetworkExtractor<Adjacency>::ExtractInto(VertexId v,
+                                                      EgoNetwork* out) {
+  TSD_DCHECK(v < graph_->num_vertices());
   // Invariant: local_id_ is all zeros between calls, so growing with zeros
   // keeps it valid; a smaller graph simply leaves the tail unused.
-  if (local_id_.size() < graph.num_vertices()) {
-    local_id_.resize(graph.num_vertices(), 0);
+  if (local_id_.size() < graph_->num_vertices()) {
+    local_id_.resize(graph_->num_vertices(), 0);
   }
-}
-
-EgoNetwork EgoNetworkExtractor::Extract(VertexId v) {
-  EgoNetwork out;
-  ExtractInto(v, &out);
-  return out;
-}
-
-void EgoNetworkExtractor::ExtractInto(VertexId v, EgoNetwork* out) {
-  TSD_DCHECK(v < graph_->num_vertices());
   out->center = v;
   out->members.assign(graph_->neighbors(v).begin(),
                       graph_->neighbors(v).end());
@@ -85,6 +74,9 @@ void EgoNetworkExtractor::ExtractInto(VertexId v, EgoNetwork* out) {
   // so edges come out sorted by (local u, local v) already.
   for (VertexId member : out->members) local_id_[member] = 0;
 }
+
+template class BasicEgoNetworkExtractor<Graph>;
+template class BasicEgoNetworkExtractor<DynamicGraph>;
 
 namespace {
 

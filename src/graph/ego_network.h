@@ -4,9 +4,9 @@
 // itself excluded. Two extraction strategies are implemented:
 //
 //  * EgoNetworkExtractor — per-vertex extraction by marking N(v) and
-//    scanning each member's adjacency (used by the online algorithms and
-//    TSD-index construction; each triangle at v is touched independently per
-//    center).
+//    scanning each member's adjacency (used by the online algorithms and by
+//    every TSD forest-slice build, static or dynamic; each triangle at v is
+//    touched independently per center).
 //  * GlobalEgoNetworks — the Section 6.2 optimization: one global triangle
 //    listing pass distributes every triangle (u,v,w) to the three
 //    ego-networks it belongs to, so each triangle is enumerated 3 times
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 
 namespace tsd {
@@ -60,30 +61,43 @@ struct EgoNetwork {
   }
 };
 
-/// Per-vertex ego-network extraction with reusable scratch buffers.
+/// Per-vertex ego-network extraction with reusable scratch buffers, over
+/// any adjacency whose neighbors(v) are sorted ascending: the immutable
+/// Graph and the mutable DynamicGraph. The mark array follows the graph's
+/// id space, so a DynamicGraph may grow between calls.
 /// Not thread-safe; create one extractor per thread.
-class EgoNetworkExtractor {
+template <typename Adjacency>
+class BasicEgoNetworkExtractor {
  public:
-  explicit EgoNetworkExtractor(const Graph& graph);
+  explicit BasicEgoNetworkExtractor(const Adjacency& graph)
+      : graph_(&graph), local_id_(graph.num_vertices(), 0) {}
 
   /// Retargets the extractor to another graph, reusing the scratch buffers
   /// (only grown, never shrunk). Lets a per-query reduced graph — e.g. the
   /// Algorithm 4 sparsified subgraph — run on a persistent workspace.
-  void Rebind(const Graph& graph);
+  void Rebind(const Adjacency& graph) { graph_ = &graph; }
 
   /// Extracts G_N(v). Includes isolated members (neighbors of v with no
   /// edges inside the ego-network).
-  EgoNetwork Extract(VertexId v);
+  EgoNetwork Extract(VertexId v) {
+    EgoNetwork out;
+    ExtractInto(v, &out);
+    return out;
+  }
 
   /// Extraction reusing the caller's EgoNetwork storage.
   void ExtractInto(VertexId v, EgoNetwork* out);
 
-  const Graph& graph() const { return *graph_; }
+  const Adjacency& graph() const { return *graph_; }
 
  private:
-  const Graph* graph_;
+  const Adjacency* graph_;
   std::vector<std::uint32_t> local_id_;  // scratch: global -> local + 1, 0 = absent
 };
+
+using EgoNetworkExtractor = BasicEgoNetworkExtractor<Graph>;
+extern template class BasicEgoNetworkExtractor<Graph>;
+extern template class BasicEgoNetworkExtractor<DynamicGraph>;
 
 /// One-shot global ego-network extraction (Algorithm 7, lines 1–4).
 ///

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+#include "graph/dynamic_graph.h"
 #include "graph/ego_network.h"
 #include "graph/generators.h"
 #include "reference_impls.h"
@@ -82,6 +84,47 @@ TEST(EgoNetworkTest, GlobalOneShotMatchesPerVertexExtraction) {
       EXPECT_EQ(a.edges, b.edges) << "vertex " << v;
     }
   }
+}
+
+// One extractor over a DynamicGraph, kept across a seeded stream of inserts,
+// removals and AddVertex calls, must extract what a fresh extractor over
+// the graph's CSR snapshot extracts, for every vertex: its mark array has
+// to follow the growing id space.
+TEST(EgoNetworkTest, DynamicGraphMatchesItsSnapshot) {
+  DynamicGraph dynamic(HolmeKim(120, 5, 0.6, 31));
+  BasicEgoNetworkExtractor<DynamicGraph> extractor(dynamic);
+  Rng rng(57);
+  for (int round = 0; round < 8; ++round) {
+    for (int step = 0; step < 60; ++step) {
+      const std::uint64_t op = rng.Uniform(10);
+      if (op == 0) {
+        const VertexId fresh = dynamic.AddVertex();
+        for (int i = 0; i < 4; ++i) {
+          dynamic.InsertEdge(fresh,
+                             static_cast<VertexId>(rng.Uniform(fresh)));
+        }
+        continue;
+      }
+      const auto u = static_cast<VertexId>(rng.Uniform(dynamic.num_vertices()));
+      const auto v = static_cast<VertexId>(rng.Uniform(dynamic.num_vertices()));
+      if (op < 6) {
+        dynamic.InsertEdge(u, v);
+      } else if (!dynamic.neighbors(u).empty()) {
+        const auto nbrs = dynamic.neighbors(u);
+        dynamic.RemoveEdge(u, nbrs[rng.Uniform(nbrs.size())]);
+      }
+    }
+    const Graph snapshot = dynamic.ToGraph();
+    EgoNetworkExtractor reference(snapshot);
+    ASSERT_EQ(snapshot.num_vertices(), dynamic.num_vertices());
+    for (VertexId v = 0; v < dynamic.num_vertices(); ++v) {
+      const EgoNetwork got = extractor.Extract(v);
+      const EgoNetwork want = reference.Extract(v);
+      ASSERT_EQ(got.members, want.members) << "round " << round << " v " << v;
+      ASSERT_EQ(got.edges, want.edges) << "round " << round << " v " << v;
+    }
+  }
+  EXPECT_GT(dynamic.num_vertices(), 120u);
 }
 
 TEST(EgoNetworkTest, GlobalTriangleCountConsistent) {

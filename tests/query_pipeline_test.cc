@@ -197,18 +197,19 @@ TEST(QueryPipelineTest, ScoreOrderedPrunesByBoundOrder) {
 // ScoreRangeMulti with a skip predicate: the skip test runs against the
 // chunk's collectors, so entries match the skip-free scan, and the chunks
 // do not depend on the thread count, so neither does the scored count.
+// With r = n/8 a first chunk of n/16 candidates could not fill its
+// collector; the scan must still skip.
 TEST(QueryPipelineTest, SkipScanMatchesFullScanAtAnyThreadCount) {
   constexpr VertexId kN = 5000;
-  const std::uint32_t capacities[] = {1, 4, 10};
+  struct Case {
+    std::vector<std::uint32_t> capacities;
+    std::uint64_t max_scored;  // exclusive
+  };
+  const Case cases[] = {{{1, 4, 10}, kN / 2}, {{kN / 8}, kN}};
   // Two scores per vertex, uncorrelated with its id; the skip bound is the
   // larger of the two, as one ceiling serves every query of a batch.
   const auto score_of = [](VertexId v, std::size_t q) {
     return static_cast<std::uint32_t>((v * 2654435761U >> (7 + 5 * q)) % 97);
-  };
-  const auto fn = [&](QueryWorkspace&, VertexId v, std::uint32_t* scores) {
-    for (std::size_t q = 0; q < std::size(capacities); ++q) {
-      scores[q] = score_of(v, q % 2);
-    }
   };
   const auto skip = [&](VertexId v, std::span<const TopRCollector> locals) {
     const std::uint32_t bound = std::max(score_of(v, 0), score_of(v, 1));
@@ -217,38 +218,50 @@ TEST(QueryPipelineTest, SkipScanMatchesFullScanAtAnyThreadCount) {
     }
     return true;
   };
-  const auto run = [&](std::uint32_t threads, std::uint32_t chunks,
-                       bool with_skip, std::uint64_t* scored) {
-    QueryOptions options;
-    options.num_threads = threads;
-    options.num_chunks = chunks;
-    QueryPipeline pipeline(options);
-    std::vector<TopRCollector> collectors;
-    for (std::uint32_t r : capacities) collectors.emplace_back(r);
-    std::vector<TopRCollector*> pointers;
-    for (TopRCollector& collector : collectors) pointers.push_back(&collector);
-    *scored = with_skip ? pipeline.ScoreRangeMulti(kN, pointers, fn, skip)
-                        : pipeline.ScoreRangeMulti(kN, pointers, fn);
-    std::vector<std::vector<std::pair<VertexId, std::uint32_t>>> ranked;
-    for (TopRCollector& collector : collectors) {
-      ranked.push_back(collector.TakeRanked());
-    }
-    return ranked;
-  };
+  for (const Case& test_case : cases) {
+    const std::vector<std::uint32_t>& capacities = test_case.capacities;
+    const auto fn = [&](QueryWorkspace&, VertexId v, std::uint32_t* scores) {
+      for (std::size_t q = 0; q < capacities.size(); ++q) {
+        scores[q] = score_of(v, q % 2);
+      }
+    };
+    const auto run = [&](std::uint32_t threads, std::uint32_t chunks,
+                         bool with_skip, std::uint64_t* scored) {
+      QueryOptions options;
+      options.num_threads = threads;
+      options.num_chunks = chunks;
+      QueryPipeline pipeline(options);
+      std::vector<TopRCollector> collectors;
+      for (std::uint32_t r : capacities) collectors.emplace_back(r);
+      std::vector<TopRCollector*> pointers;
+      for (TopRCollector& collector : collectors) {
+        pointers.push_back(&collector);
+      }
+      *scored = with_skip ? pipeline.ScoreRangeMulti(kN, pointers, fn, skip)
+                          : pipeline.ScoreRangeMulti(kN, pointers, fn);
+      std::vector<std::vector<std::pair<VertexId, std::uint32_t>>> ranked;
+      for (TopRCollector& collector : collectors) {
+        ranked.push_back(collector.TakeRanked());
+      }
+      return ranked;
+    };
 
-  std::uint64_t full_scored = 0;
-  const auto expected = run(1, 0, false, &full_scored);
-  EXPECT_EQ(full_scored, kN);
-  for (std::uint32_t chunks : {0u, 1u, 5u}) {
-    std::uint64_t first_scored = 0;
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-      std::uint64_t scored = 0;
-      EXPECT_EQ(run(threads, chunks, true, &scored), expected)
-          << "threads=" << threads << " chunks=" << chunks;
-      EXPECT_LT(scored, kN / 2) << "threads=" << threads;
-      if (threads == 1) first_scored = scored;
-      EXPECT_EQ(scored, first_scored)
-          << "threads=" << threads << " chunks=" << chunks;
+    const std::uint32_t r = capacities.back();
+    std::uint64_t full_scored = 0;
+    const auto expected = run(1, 0, false, &full_scored);
+    EXPECT_EQ(full_scored, kN);
+    for (std::uint32_t chunks : {0u, 1u, 5u}) {
+      std::uint64_t first_scored = 0;
+      for (std::uint32_t threads : {1u, 2u, 8u}) {
+        std::uint64_t scored = 0;
+        EXPECT_EQ(run(threads, chunks, true, &scored), expected)
+            << "r=" << r << " threads=" << threads << " chunks=" << chunks;
+        EXPECT_LT(scored, test_case.max_scored)
+            << "r=" << r << " threads=" << threads << " chunks=" << chunks;
+        if (threads == 1) first_scored = scored;
+        EXPECT_EQ(scored, first_scored)
+            << "r=" << r << " threads=" << threads << " chunks=" << chunks;
+      }
     }
   }
 }
