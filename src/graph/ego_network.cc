@@ -125,8 +125,9 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
     }
     ego_edges_.resize(offsets_[n]);
     std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    std::vector<EdgeId> mark(n, kInvalidEdge);
     internal::ForEachTriangleInRange(
-        fwd, 0, n,
+        fwd, 0, n, mark,
         [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
           ego_edges_[cursor[w]++] = Edge{std::min(u, v), std::max(u, v)};
           ego_edges_[cursor[v]++] = Edge{std::min(u, w), std::max(u, w)};
@@ -146,22 +147,27 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
   // so concatenating their contributions per center reproduces the
   // sequential listing order exactly — the fill is bit-identical to the
   // sequential pass at any thread count.
+  //
+  // Each worker of the two passes owns a mark array; as many run as have
+  // room for one within the counting kernels' scratch budget.
+  const std::uint32_t workers = internal::WorkersWithinBudget(
+      config.num_threads, std::uint64_t{n} * sizeof(EdgeId),
+      internal::kCountingScratchBudgetBytes);
   std::vector<std::vector<std::uint64_t>> matrix(num_chunks);
-  ParallelForChunks(n, num_chunks, config.num_threads,
-                    [&](std::uint32_t c, std::uint64_t begin,
-                        std::uint64_t end) {
-                      std::vector<std::uint64_t>& counts = matrix[c];
-                      counts.assign(n, 0);
-                      internal::ForEachTriangleInRange(
-                          fwd, static_cast<VertexId>(begin),
-                          static_cast<VertexId>(end),
-                          [&](VertexId u, VertexId v, VertexId w, EdgeId,
-                              EdgeId, EdgeId) {
-                            ++counts[u];
-                            ++counts[v];
-                            ++counts[w];
-                          });
-                    });
+  internal::ForTriangleChunks(
+      n, num_chunks, workers,
+      [&](std::uint32_t /*worker*/, std::uint32_t c, VertexId begin,
+          VertexId end, std::span<EdgeId> mark) {
+        std::vector<std::uint64_t>& counts = matrix[c];
+        counts.assign(n, 0);
+        internal::ForEachTriangleInRange(
+            fwd, begin, end, mark,
+            [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
+              ++counts[u];
+              ++counts[v];
+              ++counts[w];
+            });
+      });
 
   // Column-wise running sum: offsets_ from the per-center totals, and each
   // matrix cell rewritten to its chunk's start cursor within the slice.
@@ -182,12 +188,13 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
   }
 
   ego_edges_.resize(offsets_[n]);
-  ParallelForChunks(
-      n, num_chunks, config.num_threads,
-      [&](std::uint32_t c, std::uint64_t begin, std::uint64_t end) {
+  internal::ForTriangleChunks(
+      n, num_chunks, workers,
+      [&](std::uint32_t /*worker*/, std::uint32_t c, VertexId begin,
+          VertexId end, std::span<EdgeId> mark) {
         std::vector<std::uint64_t>& cursor = matrix[c];  // chunk-owned
         internal::ForEachTriangleInRange(
-            fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            fwd, begin, end, mark,
             [&](VertexId u, VertexId v, VertexId w, EdgeId, EdgeId, EdgeId) {
               ego_edges_[cursor[w]++] = Edge{std::min(u, v), std::max(u, v)};
               ego_edges_[cursor[v]++] = Edge{std::min(u, w), std::max(u, w)};

@@ -49,34 +49,43 @@ EdgeId Graph::FindEdge(VertexId u, VertexId v) const {
 Graph Graph::EdgeSubgraph(std::span<const std::uint8_t> keep) const {
   TSD_CHECK(keep.size() == edges_.size());
   const VertexId n = num_vertices_;
-  std::vector<EdgeId> new_id(edges_.size(), kInvalidEdge);
-  std::vector<Edge> edges;
+  // Both passes are branch-free filters: every slot is written and the
+  // cursor advances by the keep flag. A write lands at most one slot past
+  // the kept entries, so each output gets one spare slot, shrunk off at
+  // the end. A dropped edge's new_id is never read.
+  EdgeId num_kept = 0;
+  for (const std::uint8_t flag : keep) num_kept += flag != 0;
+  std::vector<EdgeId> new_id(edges_.size());
+  std::vector<Edge> edges(std::size_t{num_kept} + 1);
+  EdgeId kept = 0;
   for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (keep[e] == 0) continue;
-    new_id[e] = static_cast<EdgeId>(edges.size());
-    edges.push_back(edges_[e]);
+    new_id[e] = kept;
+    edges[kept] = edges_[e];
+    kept += keep[e] != 0;
   }
+  edges.resize(kept);
 
   // Filtering a sorted adjacency list keeps it sorted, and the id map is
   // monotone, so every per-vertex slice comes out in CSR order directly.
   Graph g;
   g.num_vertices_ = n;
   std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
-  std::vector<VertexId> adj;
-  std::vector<EdgeId> adj_edge_ids;
-  adj.reserve(2 * edges.size());
-  adj_edge_ids.reserve(2 * edges.size());
+  std::vector<VertexId> adj(2 * std::size_t{num_kept} + 1);
+  std::vector<EdgeId> adj_edge_ids(adj.size());
+  std::uint64_t out = 0;
   for (VertexId v = 0; v < n; ++v) {
     for (std::uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      const EdgeId id = new_id[adj_edge_ids_[i]];
-      if (id == kInvalidEdge) continue;
-      adj.push_back(adj_[i]);
-      adj_edge_ids.push_back(id);
+      const EdgeId e = adj_edge_ids_[i];
+      adj[out] = adj_[i];
+      adj_edge_ids[out] = new_id[e];
+      out += keep[e] != 0;
     }
-    offsets[v + 1] = adj.size();
+    offsets[v + 1] = out;
     g.max_degree_ = std::max(
-        g.max_degree_, static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]));
+        g.max_degree_, static_cast<std::uint32_t>(out - offsets[v]));
   }
+  adj.resize(out);
+  adj_edge_ids.resize(out);
   g.offsets_ = std::move(offsets);
   g.adj_ = std::move(adj);
   g.adj_edge_ids_ = std::move(adj_edge_ids);

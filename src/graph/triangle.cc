@@ -7,17 +7,6 @@
 
 namespace tsd {
 namespace internal {
-namespace {
-
-// One forward-adjacency slot staged for the per-slice sort. Ranks are a
-// permutation of [0, n), so sorting by rank alone is a total order.
-struct ForwardEntry {
-  std::uint32_t rank;
-  VertexId neighbor;
-  EdgeId edge;
-};
-
-}  // namespace
 
 ForwardAdjacency::ForwardAdjacency(const Graph& graph,
                                    const ParallelConfig& config) {
@@ -27,7 +16,7 @@ ForwardAdjacency::ForwardAdjacency(const Graph& graph,
 
   // Degree order: rank by (degree, id). Counting sort on degree. O(n), and
   // the in-degree-class assignment is order-dependent, so this stays
-  // sequential; the O(m)/O(m log) phases below are the parallel ones.
+  // sequential; the O(m) phases below are the parallel ones.
   rank.resize(n);
   {
     std::vector<std::uint32_t> count(graph.max_degree() + 2, 0);
@@ -46,44 +35,33 @@ ForwardAdjacency::ForwardAdjacency(const Graph& graph,
         for (std::uint64_t v = begin; v < end; ++v) {
           std::uint64_t forward = 0;
           for (VertexId u : graph.neighbors(static_cast<VertexId>(v))) {
-            if (rank[u] > rank[v]) ++forward;
+            forward += rank[u] > rank[v];
           }
           offsets[v + 1] = forward;
         }
       });
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
-  // Fill and rank-sort each vertex's forward slice. Slices are disjoint, so
-  // chunks write without coordination; one staging buffer per worker keeps
-  // the loop allocation-free in the steady state.
+  // Fill each forward slice as a branch-free filter of the CSR slice: write
+  // every candidate and advance the cursor only past forward ones. The
+  // loop stops once the slice is full, so no write leaves it and chunks
+  // never touch each other's slices.
   const std::uint64_t total = offsets[n];
   neighbors.resize(total);
   edge_ids.resize(total);
-  neighbor_ranks.resize(total);
-  std::vector<std::vector<ForwardEntry>> staging(num_threads);
   ParallelForChunksIndexed(
       n, num_chunks, num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        std::vector<ForwardEntry>& buffer = staging[worker];
+      [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
+          std::uint64_t begin, std::uint64_t end) {
         for (std::uint64_t v = begin; v < end; ++v) {
           const auto nbrs = graph.neighbors(static_cast<VertexId>(v));
           const auto eids = graph.incident_edges(static_cast<VertexId>(v));
-          buffer.clear();
-          for (std::size_t i = 0; i < nbrs.size(); ++i) {
-            if (rank[nbrs[i]] > rank[v]) {
-              buffer.push_back({rank[nbrs[i]], nbrs[i], eids[i]});
-            }
-          }
-          std::sort(buffer.begin(), buffer.end(),
-                    [](const ForwardEntry& a, const ForwardEntry& b) {
-                      return a.rank < b.rank;
-                    });
-          const std::uint64_t slice = offsets[v];
-          for (std::size_t i = 0; i < buffer.size(); ++i) {
-            neighbors[slice + i] = buffer[i].neighbor;
-            edge_ids[slice + i] = buffer[i].edge;
-            neighbor_ranks[slice + i] = buffer[i].rank;
+          const std::uint32_t rank_v = rank[v];
+          const std::uint64_t slice_end = offsets[v + 1];
+          for (std::uint64_t out = offsets[v], i = 0; out < slice_end; ++i) {
+            neighbors[out] = nbrs[i];
+            edge_ids[out] = eids[i];
+            out += rank[nbrs[i]] > rank_v;
           }
         }
       });
@@ -123,35 +101,37 @@ std::vector<std::uint64_t> TrianglesPerVertex(const Graph& graph) {
 
 namespace {
 
-// Runs fn(worker, u_begin, u_end) over chunks of the triangle-listing vertex
-// range — the shared skeleton of the three counting kernels.
-template <typename Fn>
-void ForChunksOfVertices(VertexId n, const ParallelConfig& config, Fn&& fn) {
-  ParallelForChunksIndexed(
-      n, EffectiveChunks(config, n), config.num_threads,
-      [&](std::uint32_t worker, std::uint32_t /*chunk*/, std::uint64_t begin,
-          std::uint64_t end) {
-        fn(worker, static_cast<VertexId>(begin), static_cast<VertexId>(end));
-      });
-}
-
 // Shared skeleton of the support and per-vertex counting kernels: walk the
 // triangles of [0, n) and bump `slots` counters, where `emit(u, v, w, e_uv,
-// e_uw, e_vw, sink)` maps each triangle to the slots it increments. Below
-// the scratch budget every worker counts into a private array and the
-// arrays are merged in deterministic worker order; above it (huge graphs ×
-// many threads) one shared array of relaxed atomics bounds memory at O(m)
-// — both orders of commuting integer adds land on the same totals, so the
-// result is bit-identical either way.
+// e_uw, e_vw, sink)` maps each triangle to the slots it increments. When
+// every worker's mark array and private counter array fit the scratch
+// budget, workers count privately and the arrays are merged in
+// deterministic worker order; otherwise (huge graphs × many threads) one
+// shared array of relaxed atomics bounds the counters at O(m), on as many
+// workers as have room for their marks — both orders of commuting integer
+// adds land on the same totals, so the result is bit-identical either way.
 template <typename CounterT, typename EmitFn>
 std::vector<CounterT> AccumulateOverTriangles(
     const internal::ForwardAdjacency& fwd, VertexId n, std::uint64_t slots,
     const ParallelConfig& config, std::uint64_t scratch_budget_bytes,
     EmitFn&& emit) {
   std::vector<CounterT> result(slots, 0);
-  if (config.num_threads <= 1) {
+  const std::uint64_t mark_bytes = std::uint64_t{n} * sizeof(EdgeId);
+  const std::uint32_t num_chunks = EffectiveChunks(config, n);
+  const std::uint32_t threads = std::max(1U, config.num_threads);
+  const bool private_counters =
+      threads > 1 &&
+      internal::WorkersWithinBudget(threads,
+                                    slots * sizeof(CounterT) + mark_bytes,
+                                    scratch_budget_bytes) == threads;
+  const std::uint32_t workers =
+      private_counters ? threads
+                       : internal::WorkersWithinBudget(threads, mark_bytes,
+                                                       scratch_budget_bytes);
+  if (workers == 1) {
+    std::vector<EdgeId> mark(n, kInvalidEdge);
     internal::ForEachTriangleInRange(
-        fwd, 0, n,
+        fwd, 0, n, mark,
         [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv, EdgeId e_uw,
             EdgeId e_vw) {
           emit(u, v, w, e_uv, e_uw, e_vw,
@@ -160,20 +140,18 @@ std::vector<CounterT> AccumulateOverTriangles(
     return result;
   }
 
-  const std::uint64_t per_worker_bytes =
-      std::uint64_t{config.num_threads} * slots * sizeof(CounterT);
-  if (per_worker_bytes <= scratch_budget_bytes) {
+  if (private_counters) {
     // Private arrays, allocated lazily (workers that never run a chunk
     // stay empty) — no cross-core traffic on the hot O(ρ·m) loop.
-    std::vector<std::vector<CounterT>> per_worker(config.num_threads);
-    ParallelForChunksIndexed(
-        n, EffectiveChunks(config, n), config.num_threads,
-        [&](std::uint32_t worker, std::uint32_t /*chunk*/,
-            std::uint64_t begin, std::uint64_t end) {
+    std::vector<std::vector<CounterT>> per_worker(workers);
+    internal::ForTriangleChunks(
+        n, num_chunks, workers,
+        [&](std::uint32_t worker, std::uint32_t /*chunk*/, VertexId begin,
+            VertexId end, std::span<EdgeId> mark) {
           std::vector<CounterT>& local = per_worker[worker];
           if (local.empty()) local.assign(slots, 0);
           internal::ForEachTriangleInRange(
-              fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+              fwd, begin, end, mark,
               [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv,
                   EdgeId e_uw, EdgeId e_vw) {
                 emit(u, v, w, e_uv, e_uw, e_vw,
@@ -181,7 +159,7 @@ std::vector<CounterT> AccumulateOverTriangles(
               });
         });
     ParallelForChunksIndexed(
-        slots, EffectiveChunks(config, slots), config.num_threads,
+        slots, EffectiveChunks(config, slots), workers,
         [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
             std::uint64_t begin, std::uint64_t end) {
           for (const std::vector<CounterT>& local : per_worker) {
@@ -194,23 +172,23 @@ std::vector<CounterT> AccumulateOverTriangles(
     return result;
   }
 
-  // Shared-atomic fallback: O(slots) memory regardless of thread count.
+  // Shared-atomic fallback: O(slots) counter memory regardless of workers.
   std::unique_ptr<std::atomic<CounterT>[]> shared(
       new std::atomic<CounterT>[slots]);
   ParallelForChunksIndexed(
-      slots, EffectiveChunks(config, slots), config.num_threads,
+      slots, EffectiveChunks(config, slots), workers,
       [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
           std::uint64_t begin, std::uint64_t end) {
         for (std::uint64_t s = begin; s < end; ++s) {
           shared[s].store(0, std::memory_order_relaxed);
         }
       });
-  ParallelForChunksIndexed(
-      n, EffectiveChunks(config, n), config.num_threads,
-      [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
-          std::uint64_t begin, std::uint64_t end) {
+  internal::ForTriangleChunks(
+      n, num_chunks, workers,
+      [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/, VertexId begin,
+          VertexId end, std::span<EdgeId> mark) {
         internal::ForEachTriangleInRange(
-            fwd, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            fwd, begin, end, mark,
             [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv, EdgeId e_uw,
                 EdgeId e_vw) {
               emit(u, v, w, e_uv, e_uw, e_vw, [&](std::uint64_t slot) {
@@ -219,7 +197,7 @@ std::vector<CounterT> AccumulateOverTriangles(
             });
       });
   ParallelForChunksIndexed(
-      slots, EffectiveChunks(config, slots), config.num_threads,
+      slots, EffectiveChunks(config, slots), workers,
       [&](std::uint32_t /*worker*/, std::uint32_t /*chunk*/,
           std::uint64_t begin, std::uint64_t end) {
         for (std::uint64_t s = begin; s < end; ++s) {
@@ -234,17 +212,24 @@ std::vector<CounterT> AccumulateOverTriangles(
 std::uint64_t CountTriangles(const Graph& graph,
                              const ParallelConfig& config) {
   if (config.num_threads <= 1) return CountTriangles(graph);
+  const VertexId n = graph.num_vertices();
   const internal::ForwardAdjacency fwd(graph, config);
-  std::vector<std::uint64_t> per_worker(config.num_threads, 0);
-  ForChunksOfVertices(graph.num_vertices(), config,
-                      [&](std::uint32_t worker, VertexId begin, VertexId end) {
-                        std::uint64_t local = 0;
-                        internal::ForEachTriangleInRange(
-                            fwd, begin, end,
-                            [&](VertexId, VertexId, VertexId, EdgeId, EdgeId,
-                                EdgeId) { ++local; });
-                        per_worker[worker] += local;
-                      });
+  const std::uint32_t workers = internal::WorkersWithinBudget(
+      config.num_threads, std::uint64_t{n} * sizeof(EdgeId),
+      internal::kCountingScratchBudgetBytes);
+  std::vector<std::uint64_t> per_worker(workers, 0);
+  internal::ForTriangleChunks(
+      n, EffectiveChunks(config, n), workers,
+      [&](std::uint32_t worker, std::uint32_t /*chunk*/, VertexId begin,
+          VertexId end, std::span<EdgeId> mark) {
+        std::uint64_t local = 0;
+        internal::ForEachTriangleInRange(
+            fwd, begin, end, mark,
+            [&](VertexId, VertexId, VertexId, EdgeId, EdgeId, EdgeId) {
+              ++local;
+            });
+        per_worker[worker] += local;
+      });
   return std::accumulate(per_worker.begin(), per_worker.end(),
                          std::uint64_t{0});
 }

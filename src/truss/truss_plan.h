@@ -154,15 +154,15 @@ inline constexpr std::size_t kBitmapBudgetBytes = std::size_t{64} << 20;
 /// Density floors for the bitmap kernels, as m ≥ n² >> shift. The ego
 /// decomposer's empirical split (m ≥ l²/1024) also credits the bitmap
 /// *peeling* phase, which it runs; the global kernel only computes support
-/// via AND-popcount — a per-edge cost of ~n/32 words against ~avg-degree
-/// for merge intersection — so it demands a much denser graph before the
-/// bitmaps win.
+/// via AND-popcount — a per-edge cost of ~n/32 words against the marking
+/// walk's forward-list lengths — so it demands a much denser graph before
+/// the bitmaps win. On G(n, p) at 1 thread the two cross near n²/28.
 inline constexpr unsigned kEgoBitmapDensityShift = 10;     // m ≥ l²/1024
-inline constexpr unsigned kGlobalBitmapDensityShift = 6;   // m ≥ n²/64
+inline constexpr unsigned kGlobalBitmapDensityShift = 5;   // m ≥ n²/32
 
 /// True when n adjacency bitmaps of n bits fit the budget and the graph is
 /// dense enough (m ≥ n² >> density_shift) that AND-popcount support beats
-/// merge intersection. One predicate shared by the ego decomposer's kAuto
+/// intersecting adjacency lists. One predicate shared by the ego decomposer's kAuto
 /// rule and the global plan subsystem, with their respective density
 /// floors above.
 inline bool BitmapSupportEligible(std::uint64_t n, std::uint64_t m,
@@ -181,8 +181,8 @@ std::vector<std::uint32_t> SupportViaBitmaps(const Graph& graph,
                                              const ParallelConfig& config);
 
 /// The support stage every global peel starts from: SupportViaBitmaps
-/// when BitmapSupportEligible holds at the global density floor, merge
-/// intersection (ComputeSupport) otherwise. Sets `*bitmap_kernel` to the
+/// when BitmapSupportEligible holds at the global density floor, the
+/// marking triangle kernel (ComputeSupport) otherwise. Sets `*bitmap_kernel` to the
 /// kernel that ran.
 std::vector<std::uint32_t> PeelSupport(const Graph& graph,
                                        const ParallelConfig& config,

@@ -85,7 +85,6 @@ TEST_P(ParallelTrussDifferentialTest, ForwardAdjacencyBitIdentical) {
     EXPECT_EQ(parallel.offsets, sequential.offsets);
     EXPECT_EQ(parallel.neighbors, sequential.neighbors);
     EXPECT_EQ(parallel.edge_ids, sequential.edge_ids);
-    EXPECT_EQ(parallel.neighbor_ranks, sequential.neighbor_ranks);
   }
 }
 

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -68,6 +72,115 @@ TEST(TriangleTest, ForEachTriangleReportsConsistentEdgeIds) {
     ++count;
   });
   EXPECT_EQ(count, CountTriangles(g));
+}
+
+// One listed triangle with its corners sorted by id: (a, b, c) and the ids
+// of edges ab, ac, bc.
+using ListedTriangle = std::array<std::uint32_t, 6>;
+
+ListedTriangle SortedTriangle(VertexId u, VertexId v, VertexId w, EdgeId e_uv,
+                              EdgeId e_uw, EdgeId e_vw) {
+  // Each edge is named by its opposite corner, so sorting the corners
+  // carries the edge ids along.
+  std::array<std::pair<VertexId, EdgeId>, 3> corner = {
+      std::pair{u, e_vw}, std::pair{v, e_uw}, std::pair{w, e_uv}};
+  std::sort(corner.begin(), corner.end());
+  return {corner[0].first, corner[1].first, corner[2].first,
+          corner[2].second, corner[1].second, corner[0].second};
+}
+
+// Every triple a < b < c of mutually adjacent vertices with its FindEdge
+// ids, ascending.
+std::vector<ListedTriangle> NaiveTriangles(const Graph& g) {
+  std::vector<ListedTriangle> out;
+  for (VertexId a = 0; a < g.num_vertices(); ++a) {
+    for (VertexId b = a + 1; b < g.num_vertices(); ++b) {
+      if (!g.HasEdge(a, b)) continue;
+      for (VertexId c = b + 1; c < g.num_vertices(); ++c) {
+        if (g.HasEdge(a, c) && g.HasEdge(b, c)) {
+          out.push_back({a, b, c, g.FindEdge(a, b), g.FindEdge(a, c),
+                         g.FindEdge(b, c)});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// A star whose center is also in a clique: the center is the top-ranked
+// corner of every clique triangle, and its forward list is empty.
+Graph HubGraph() {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId leaf = 1; leaf < 70; ++leaf) edges.emplace_back(0, leaf);
+  for (VertexId u = 0; u < 9; ++u) {
+    for (VertexId v = u + 1; v < 9; ++v) edges.emplace_back(60 + u, 60 + v);
+  }
+  for (VertexId u = 60; u < 69; ++u) edges.emplace_back(0, u);
+  return Graph::FromEdges(std::move(edges));
+}
+
+TEST(TriangleTest, ForEachTriangleListsEachTriangleOnce) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"gnp", ErdosRenyi(90, 700, 5)},
+      {"hk", HolmeKim(120, 5, 0.7, 3)},
+      {"hub", HubGraph()}};
+  for (const auto& [name, g] : graphs) {
+    const std::vector<ListedTriangle> oracle = NaiveTriangles(g);
+    ASSERT_FALSE(oracle.empty()) << name;
+
+    std::vector<ListedTriangle> listed;
+    ForEachTriangle(g, [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv,
+                           EdgeId e_uw, EdgeId e_vw) {
+      listed.push_back(SortedTriangle(u, v, w, e_uv, e_uw, e_vw));
+    });
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(listed, oracle) << name;
+
+    // Two back-to-back calls share one worker's marks; each must leave
+    // them clear for the next.
+    const internal::ForwardAdjacency fwd(g);
+    const VertexId n = g.num_vertices();
+    std::vector<EdgeId> mark(n, kInvalidEdge);
+    std::vector<ListedTriangle> halves;
+    const auto collect = [&](VertexId u, VertexId v, VertexId w, EdgeId e_uv,
+                             EdgeId e_uw, EdgeId e_vw) {
+      halves.push_back(SortedTriangle(u, v, w, e_uv, e_uw, e_vw));
+    };
+    internal::ForEachTriangleInRange(fwd, 0, n / 2, mark, collect);
+    internal::ForEachTriangleInRange(fwd, n / 2, n, mark, collect);
+    EXPECT_EQ(mark, std::vector<EdgeId>(n, kInvalidEdge)) << name;
+    std::sort(halves.begin(), halves.end());
+    EXPECT_EQ(halves, oracle) << name;
+
+    const std::vector<std::uint32_t> support = ComputeSupport(g);
+    const std::vector<std::uint64_t> per_vertex = TrianglesPerVertex(g);
+    EXPECT_EQ(support, testing::NaiveSupport(g)) << name;
+    EXPECT_EQ(CountTriangles(g), oracle.size()) << name;
+    for (const std::uint32_t threads : {1u, 2u, 8u}) {
+      const ParallelConfig config{threads, 0};
+      const std::string label = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(ComputeSupport(g, config), support) << label;
+      EXPECT_EQ(TrianglesPerVertex(g, config), per_vertex) << label;
+      EXPECT_EQ(CountTriangles(g, config), oracle.size()) << label;
+    }
+
+    // A budget with room for one mark array runs one worker; one with
+    // room for two marks but not for private counters runs two workers
+    // on the shared-atomic counters.
+    const std::uint64_t mark_bytes = std::uint64_t{n} * sizeof(EdgeId);
+    for (const std::uint64_t budget : {mark_bytes, 2 * mark_bytes}) {
+      const ParallelConfig config{8, 0};
+      const std::string label = name + " budget=" + std::to_string(budget);
+      EXPECT_EQ(internal::SupportFromForward(fwd, g.num_edges(), config,
+                                             budget),
+                support)
+          << label;
+      EXPECT_EQ(internal::TrianglesPerVertexFromForward(fwd, n, config,
+                                                        budget),
+                per_vertex)
+          << label;
+    }
+  }
 }
 
 TEST(TriangleTest, TrianglesPerVertexSumsToThreeT) {
