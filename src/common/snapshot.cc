@@ -1,7 +1,13 @@
 #include "common/snapshot.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 
 namespace tsd {
@@ -12,6 +18,14 @@ constexpr std::size_t kTableEntrySize = 32;
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
+}
+
+/// `<path>.tmp.<pid>.<n>`, n counting writers process-wide: no two live
+/// writers share a temporary, even when they save the same path.
+std::string TemporaryPathFor(const std::string& path) {
+  static std::atomic<std::uint64_t> next_writer{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next_writer.fetch_add(1, std::memory_order_relaxed));
 }
 
 /// Encodes one section-table entry at `out` (32 bytes).
@@ -81,10 +95,11 @@ std::uint64_t Checksum64(std::span<const std::byte> bytes) {
 // ---------------------------------------------------------------- writer
 
 SnapshotWriter::SnapshotWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
-  TSD_CHECK_MSG(out_.good(), "cannot open file for writing: " << path);
+    : path_(path), temp_path_(TemporaryPathFor(path)) {
   TSD_CHECK_MSG(HostIsLittleEndian(),
                 "snapshot writing requires a little-endian host");
+  out_.open(temp_path_, std::ios::binary | std::ios::trunc);
+  TSD_CHECK_MSG(out_.good(), "cannot open file for writing: " << path);
   // Header placeholder; Finish() seeks back and fills it in.
   const char zeros[kHeaderSize] = {};
   out_.write(zeros, kHeaderSize);
@@ -92,10 +107,15 @@ SnapshotWriter::SnapshotWriter(const std::string& path)
 }
 
 SnapshotWriter::~SnapshotWriter() {
-  // A snapshot without its header never validates, so forgetting Finish()
-  // cannot produce a silently half-written file; still, flag the misuse in
-  // debug builds.
-  TSD_DCHECK(finished_);
+  // Until Finish() renames it into place the temporary is all this writer
+  // has created, so an abandoned save leaves `path_` as it was.
+  if (!temp_path_.empty()) {
+    out_.close();
+    ::unlink(temp_path_.c_str());
+  }
+  // Forgetting Finish() is misuse, flagged in debug builds, but not while an
+  // exception unwinds through the save: the throw would terminate.
+  if (std::uncaught_exceptions() == 0) TSD_DCHECK(finished_);
 }
 
 void SnapshotWriter::PadToAlignment() {
@@ -164,8 +184,17 @@ void SnapshotWriter::Finish() {
 
   out_.seekp(0);
   out_.write(reinterpret_cast<const char*>(header), kHeaderSize);
-  out_.flush();
+  out_.close();
   TSD_CHECK_MSG(out_.good(), "write failed: " << path_);
+
+  // Unlink first: on ext4 a rename over an existing file forces write-back
+  // of the new one (auto_da_alloc), hundreds of milliseconds; onto a free
+  // name it does not.
+  ::unlink(path_.c_str());
+  const bool renamed = std::rename(temp_path_.c_str(), path_.c_str()) == 0;
+  TSD_CHECK_MSG(renamed, "cannot move the snapshot into place: "
+                             << path_ << ": " << std::strerror(errno));
+  temp_path_.clear();
 }
 
 // ---------------------------------------------------------------- reader

@@ -52,6 +52,24 @@
 // written in a fixed order with zero padding), which is what the
 // save→load→save byte-identity test asserts.
 //
+// ## Saving
+//
+// SnapshotWriter never writes its path in place. It streams into a fresh
+// temporary in the same directory, `<path>.tmp.<pid>.<n>`, and Finish()
+// closes it, unlinks the old path, and renames the temporary over it. Every
+// process that has the old file mapped keeps the old inode and therefore
+// its pages; truncating in place instead would raise SIGBUS in all of them.
+// The unlink comes first because on ext4 a rename over an existing file
+// forces write-back of the new one (auto_da_alloc), a stall of hundreds of
+// milliseconds. A reader that opens in the short gap between unlink and
+// rename gets the ordinary "cannot open" load failure (tsdtool's loud
+// rebuild fallback). A writer destroyed without Finish(), e.g. by an
+// exception mid-save, removes its temporary and leaves the old snapshot as
+// it was. A symlink at `path` is replaced, not followed, and the new file
+// takes the umask's mode, not the old file's. Durability is out of scope:
+// nothing is fsync'd, so a power loss may lose a save (a snapshot is a
+// cache; see above).
+//
 // ## Reader discipline
 //
 // SnapshotReader::Open never trusts an on-disk length: every offset/length
@@ -182,8 +200,9 @@ class FlatArray {
 
 /// Streams a snapshot to disk: header placeholder, 64-byte aligned payload
 /// sections in AddArray order, section table, then the finalized header.
-/// The writer runs on the trusted save path, so I/O failures and API misuse
-/// (duplicate tags, Finish twice) throw tsd::CheckError.
+/// The bytes go to a temporary that Finish() renames over `path` ("Saving"
+/// above). The writer runs on the trusted save path, so I/O failures and
+/// API misuse (duplicate tags, Finish twice) throw tsd::CheckError.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(const std::string& path);
@@ -206,8 +225,9 @@ class SnapshotWriter {
 
   void AddBytes(std::uint64_t tag, std::span<const std::byte> bytes);
 
-  /// Writes the section table and header, then flushes. Must be called
-  /// exactly once; the file is incomplete (and will fail to load) without.
+  /// Writes the section table and header, closes the temporary and renames
+  /// it over the path. Must be called exactly once; without it the path is
+  /// left untouched.
   void Finish();
 
  private:
@@ -221,6 +241,7 @@ class SnapshotWriter {
   void PadToAlignment();
 
   std::string path_;
+  std::string temp_path_;  // empty once Finish() has renamed it into place
   std::ofstream out_;
   std::vector<Section> sections_;
   std::uint64_t cursor_ = 0;

@@ -1,7 +1,7 @@
 // Tests for the zero-copy snapshot subsystem (common/snapshot.h) and the
 // objects that persist through it (graph CSR, TsdIndex, GctIndex).
 //
-// Four layers of coverage:
+// Five layers of coverage:
 //
 //  1. Primitives: SnapshotTag/SnapshotTagName, Checksum64, ByteCursor, and
 //     FlatArray's owned-vs-borrowed backing-store semantics.
@@ -15,6 +15,9 @@
 //  4. Loaded-vs-built differential: an index bound to a mapped snapshot
 //     answers TopR and SearchBatch bit-identically to the index it was
 //     saved from, at every thread count.
+//  5. Saving: a save renames a temporary into place, so an index loaded from
+//     the old file keeps answering while the path is rewritten, and a save
+//     that fails or is abandoned leaves the old file and no temporary.
 #include "common/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -800,6 +804,192 @@ INSTANTIATE_TEST_SUITE_P(AllGraphs, SnapshotDifferentialTest,
                          ::testing::Range(0, 5), [](const auto& info) {
                            return DifferentialGraphs()[info.param].name;
                          });
+
+// ------------------------------------------------------------------ saving
+
+/// A fresh, empty directory of the test's own, so the test can assert on
+/// every entry in it.
+std::filesystem::path FreshDirectory(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  return dir;
+}
+
+/// The names of the entries in `dir`, sorted.
+std::vector<std::string> DirectoryEntries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Saves `g` with both of its indexes, as `tsdtool build --index=both` does.
+void SaveCombined(const std::string& path, const Graph& g) {
+  SnapshotWriter writer(path);
+  g.AppendToSnapshot(writer);
+  TsdIndex::Build(g).AppendToSnapshot(writer);
+  GctIndex::Build(g).AppendToSnapshot(writer);
+  writer.Finish();
+}
+
+void ExpectGraphAt(const std::string& path, const Graph& expected) {
+  SnapshotReader reader;
+  std::string error;
+  Graph loaded;
+  ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+  ASSERT_TRUE(Graph::LoadFromSnapshot(reader, &loaded, &error)) << error;
+  EXPECT_TRUE(std::ranges::equal(loaded.edges(), expected.edges())) << path;
+}
+
+TEST(SnapshotSaveTest, RewriteUnderLiveMapping) {
+  // B's snapshot is a fraction of A's, so a save that truncated the path in
+  // place would leave most of A's mapping past the end of the file, and the
+  // first touch of it would raise SIGBUS.
+  const std::filesystem::path dir = FreshDirectory("tsd_snapshot_rewrite");
+  const std::string path = (dir / "live.snap").string();
+  const Graph a = HolmeKim(400, 5, 0.5, 3);
+  const Graph b = PaperFigure1Graph();
+  SaveCombined(path, a);
+
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+  Graph loaded_graph;
+  TsdIndex loaded_tsd;
+  GctIndex loaded_gct;
+  ASSERT_TRUE(Graph::LoadFromSnapshot(reader, &loaded_graph, &error))
+      << error;
+  ASSERT_TRUE(TsdIndex::LoadFromSnapshot(reader, &loaded_tsd, &error))
+      << error;
+  ASSERT_TRUE(GctIndex::LoadFromSnapshot(reader, &loaded_gct, &error))
+      << error;
+  const std::span<const std::byte> mapped = reader.mapping()->bytes();
+  const std::vector<std::byte> a_bytes(mapped.begin(), mapped.end());
+  const std::vector<BatchQuery> batch{{2, 5}, {3, 8}, {4, 3}, {6, 10}};
+  const std::vector<std::pair<DiversitySearcher*, std::vector<TopRResult>>>
+      expected{{&loaded_tsd, loaded_tsd.SearchBatch(batch)},
+               {&loaded_gct, loaded_gct.SearchBatch(batch)}};
+
+  SaveCombined(path, b);
+
+  // Every byte of A's mapping still reads A, and A's indexes answer as
+  // they did before the save...
+  EXPECT_TRUE(std::ranges::equal(reader.mapping()->bytes(), a_bytes));
+  EXPECT_TRUE(std::ranges::equal(loaded_graph.edges(), a.edges()));
+  for (const auto& [searcher, answers] : expected) {
+    for (const std::uint32_t threads : {1u, 2u}) {
+      QueryOptions options;
+      options.num_threads = threads;
+      searcher->set_query_options(options);
+      const std::vector<TopRResult> actual = searcher->SearchBatch(batch);
+      ASSERT_EQ(actual.size(), answers.size());
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        ExpectSameResults(answers[q], actual[q],
+                          searcher->name() + " threads=" +
+                              std::to_string(threads) + " query " +
+                              std::to_string(q));
+      }
+    }
+  }
+  // ...while the path itself now holds B, and nothing else is left.
+  ExpectGraphAt(path, b);
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"live.snap"});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotSaveTest, FailedSaveKeepsOldSnapshot) {
+  const std::filesystem::path dir = FreshDirectory("tsd_snapshot_failed");
+  const std::string path = (dir / "a.snap").string();
+  const Graph a = HolmeKim(300, 4, 0.5, 5);
+  SaveCombined(path, a);
+  const std::vector<std::byte> a_bytes = ReadFileBytes(path);
+
+  // The second group repeats every tag: the save throws part-way through,
+  // after the writer has written B's sections.
+  const Graph b = PaperFigure1Graph();
+  EXPECT_THROW(
+      {
+        SnapshotWriter writer(path);
+        b.AppendToSnapshot(writer);
+        b.AppendToSnapshot(writer);
+        writer.Finish();
+      },
+      CheckError);
+
+  EXPECT_EQ(ReadFileBytes(path), a_bytes);
+  ExpectGraphAt(path, a);
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"a.snap"});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotSaveTest, AbandonedSaveCreatesNothing) {
+  const std::filesystem::path dir = FreshDirectory("tsd_snapshot_abandoned");
+  const std::string path = (dir / "never.snap").string();
+  EXPECT_THROW(
+      {
+        SnapshotWriter writer(path);
+        PaperFigure1Graph().AppendToSnapshot(writer);
+        throw std::runtime_error("save abandoned");
+      },
+      std::runtime_error);
+  EXPECT_TRUE(DirectoryEntries(dir).empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotSaveTest, WritersToOnePathUseDistinctTemporaries) {
+  const std::filesystem::path dir = FreshDirectory("tsd_snapshot_two_saves");
+  const std::string path = (dir / "shared.snap").string();
+  const Graph a = PaperFigure1Graph();
+  const Graph b = HolmeKim(100, 3, 0.5, 9);
+  SnapshotWriter first(path);
+  SnapshotWriter second(path);
+  a.AppendToSnapshot(first);
+  b.AppendToSnapshot(second);
+  // One temporary each; the path itself does not exist yet.
+  EXPECT_EQ(DirectoryEntries(dir).size(), 2u);
+  first.Finish();
+  ExpectGraphAt(path, a);
+  second.Finish();
+  ExpectGraphAt(path, b);
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"shared.snap"});
+  std::filesystem::remove_all(dir);
+}
+
+/// The CheckError message of saving an empty snapshot to `path`.
+std::string SaveFailure(const std::string& path) {
+  try {
+    SnapshotWriter writer(path);
+    writer.Finish();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SnapshotSaveTest, FailuresNameTheSavedPathAndLeaveNoTemporary) {
+  const std::filesystem::path dir = FreshDirectory("tsd_snapshot_failures");
+  // No directory to create the temporary in.
+  const std::string orphan = (dir / "missing" / "x.snap").string();
+  const std::string open_message = SaveFailure(orphan);
+  EXPECT_NE(open_message.find("cannot open file for writing: " + orphan),
+            std::string::npos)
+      << open_message;
+  EXPECT_EQ(open_message.find(".tmp."), std::string::npos) << open_message;
+  // A directory at the path: neither unlink nor rename can replace it.
+  const std::string occupied = (dir / "occupied").string();
+  std::filesystem::create_directory(occupied);
+  const std::string rename_message = SaveFailure(occupied);
+  EXPECT_NE(rename_message.find("cannot move the snapshot into place: " +
+                                occupied),
+            std::string::npos)
+      << rename_message;
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"occupied"});
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace tsd
