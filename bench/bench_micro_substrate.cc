@@ -76,10 +76,11 @@ BENCHMARK(BM_EgoExtractionPerVertex);
 void BM_EgoExtractionGlobalOneShot(benchmark::State& state) {
   const Graph& g = TestGraph(12);
   EgoNetwork ego;
+  GlobalEgoNetworks::Scratch scratch;
   for (auto _ : state) {
     GlobalEgoNetworks global(g);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      global.MaterializeInto(v, &ego);
+      global.MaterializeInto(v, &ego, &scratch);
       benchmark::DoNotOptimize(ego.num_edges());
     }
   }

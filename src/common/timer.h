@@ -11,16 +11,19 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Reset().
+  /// Seconds elapsed since construction or the last Lap().
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last Reset().
-  double Millis() const { return Seconds() * 1e3; }
+  /// Seconds elapsed since construction or the last Lap(), and restarts:
+  /// consecutive phases are timed with one clock read each.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -23,16 +23,16 @@ void ForestColumns::Clear() {
 }
 
 template <typename Adjacency>
-void ForestSliceBuilder<Adjacency>::Append(VertexId v, ForestColumns* out) {
-  {
-    ScopedTimer t(&stats_.extraction_seconds);
+LocalForest ForestSliceBuilder<Adjacency>::Build(VertexId v) {
+  WallTimer lap;
+  if (listing_ != nullptr) {
+    listing_->MaterializeInto(v, &ego_, &listing_scratch_);
+  } else {
     extractor_.ExtractInto(v, &ego_);
   }
-  {
-    ScopedTimer t(&stats_.decomposition_seconds);
-    decomposer_.ComputeInto(ego_, &trussness_);
-  }
-  ScopedTimer t(&stats_.assembly_seconds);
+  stats_.extraction_seconds += lap.Lap();
+  decomposer_.ComputeInto(ego_, &trussness_);
+  stats_.decomposition_seconds += lap.Lap();
   // Kruskal over the ego edges by weight descending: a stable counting sort
   // keeps ties in edge-id order, so the forest is deterministic.
   const std::uint32_t max_weight =
@@ -51,25 +51,38 @@ void ForestSliceBuilder<Adjacency>::Append(VertexId v, ForestColumns* out) {
   for (EdgeId e = 0; e < trussness_.size(); ++e) {
     by_weight_[bucket_[trussness_[e]]++] = e;
   }
-  const std::size_t first_edge = out->weight.size();
+  forest_a_.clear();
+  forest_b_.clear();
+  forest_weight_.clear();
   dsu_.Reset(ego_.num_members());
   for (EdgeId e : by_weight_) {
     const auto [a, b] = ego_.edges[e];
     if (dsu_.Union(a, b)) {
-      out->u.push_back(ego_.ToGlobal(a));
-      out->v.push_back(ego_.ToGlobal(b));
-      out->weight.push_back(trussness_[e]);
+      forest_a_.push_back(a);
+      forest_b_.push_back(b);
+      forest_weight_.push_back(trussness_[e]);
     }
   }
+  stats_.assembly_seconds += lap.Lap();
+  return {ego_.members, forest_a_, forest_b_, forest_weight_};
+}
 
+template <typename Adjacency>
+void ForestSliceBuilder<Adjacency>::Append(VertexId v, ForestColumns* out) {
+  const LocalForest forest = Build(v);
+  ScopedTimer t(&stats_.assembly_seconds);
+  for (std::size_t i = 0; i < forest.weight.size(); ++i) {
+    out->u.push_back(forest.members[forest.a[i]]);
+    out->v.push_back(forest.members[forest.b[i]]);
+  }
+  out->weight.insert(out->weight.end(), forest.weight.begin(),
+                     forest.weight.end());
+  // The profile counts distinct endpoints, so local ids give the same one.
   const std::size_t first_level = out->level.size();
-  forest::AppendScoreProfile(extractor_.graph().num_vertices(),
-                             std::span(out->u).subspan(first_edge),
-                             std::span(out->v).subspan(first_edge),
-                             std::span(out->weight).subspan(first_edge), ids_,
-                             &out->level, &out->level_score);
-  out->num_edges.push_back(
-      static_cast<std::uint32_t>(out->weight.size() - first_edge));
+  forest::AppendScoreProfile(
+      static_cast<VertexId>(forest.members.size()), forest.a, forest.b,
+      forest.weight, ids_, &out->level, &out->level_score);
+  out->num_edges.push_back(static_cast<std::uint32_t>(forest.weight.size()));
   out->num_levels.push_back(
       static_cast<std::uint32_t>(out->level.size() - first_level));
 }

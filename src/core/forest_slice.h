@@ -10,12 +10,14 @@
 // the driver below a ForestSliceView, so the two indexes share one
 // implementation of every query.
 //
-// Every slice is built by one ForestSliceBuilder (TsdIndex::Build, and
-// DynamicTsdIndex's constructor and updates): Algorithm 5's per-vertex job
-// of ego extraction, ego truss decomposition, maximum spanning forest and
-// score profile, appended to a ForestColumns. The score profile is computed
-// once per slice, by AppendScoreProfile, when the slice is built (or, for a
-// mapped TsdIndex, loaded): `level` holds the slice's distinct weights in
+// Every slice is built by one ForestSliceBuilder: Algorithm 5's per-vertex
+// job of ego extraction, ego truss decomposition and maximum spanning
+// forest. It has two consumers: the TSD indexes (TsdIndex::Build, and
+// DynamicTsdIndex's constructor and updates) append each slice with its
+// score profile to a ForestColumns, and GctIndex::Build contracts it into
+// supernodes (core/gct_index.h). The score profile is computed once per
+// slice, by AppendScoreProfile, when the slice is built (or, for a mapped
+// TsdIndex, loaded): `level` holds the slice's distinct weights in
 // descending order and `level_score[i]` the exact score at threshold
 // level[i], |endpoints| − |edges| of the prefix of edges with weight ≥
 // level[i] (by the forest property, its component count). The score at any
@@ -42,12 +44,15 @@
 // answer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/batch_query.h"
 #include "core/query_pipeline.h"
@@ -91,7 +96,7 @@ struct ScoreCeiling {
 struct IndexBuildStats {
   double extraction_seconds = 0;     // ego-network extraction
   double decomposition_seconds = 0;  // ego-network truss decomposition
-  double assembly_seconds = 0;       // forest / supernode assembly
+  double assembly_seconds = 0;       // Kruskal + TSD profile or GCT contraction
   double total_seconds = 0;
 };
 
@@ -113,40 +118,86 @@ struct ForestColumns {
   void Clear();
 };
 
+/// A forest in ego-local ids (local i is members[i], ascending): edges
+/// a[i] < b[i] of weight[i] in Kruskal order, ties in ego edge order.
+struct LocalForest {
+  std::span<const VertexId> members;
+  std::span<const std::uint32_t> a;
+  std::span<const std::uint32_t> b;
+  std::span<const std::uint32_t> weight;
+};
+
 /// Builds forest slices one vertex at a time over a Graph or a
-/// DynamicGraph: extracts v's ego network, decomposes it, takes its maximum
-/// spanning forest (Kruskal with a counting sort on the small integer
-/// weights, so O(m_v + max weight)) and the forest's score profile. Owns
-/// all scratch, so repeated builds allocate only to grow it. Not
-/// thread-safe; create one builder per thread.
+/// DynamicGraph: extracts v's ego network, decomposes it and takes its
+/// maximum spanning forest (Kruskal with a counting sort on the small
+/// integer weights, so O(m_v + max weight)). Owns all scratch, so repeated
+/// builds allocate only to grow it. Not thread-safe; one per thread.
 template <typename Adjacency>
 class ForestSliceBuilder {
  public:
+  /// With `listing` (of `graph`, outliving the builder), ego networks are
+  /// materialized from it (Section 6.2) instead of extracted.
   explicit ForestSliceBuilder(const Adjacency& graph,
-                              EgoTrussMethod method = EgoTrussMethod::kHash)
-      : extractor_(graph), decomposer_(method) {}
+                              EgoTrussMethod method = EgoTrussMethod::kHash,
+                              const GlobalEgoNetworks* listing = nullptr)
+      : extractor_(graph), listing_(listing), decomposer_(method) {}
 
-  /// Appends v's slice to `out`. Its endpoints are < the graph's current
-  /// vertex count.
+  /// v's forest in local ids, valid until the next call.
+  LocalForest Build(VertexId v);
+
+  /// Appends v's slice to `out` in global ids, with its score profile. Its
+  /// endpoints are < the graph's current vertex count.
   void Append(VertexId v, ForestColumns* out);
 
-  /// Time spent in each phase, summed over every Append (no total).
+  /// Time spent in each phase (no total); Build's consumers add theirs.
   const IndexBuildStats& stats() const { return stats_; }
+  IndexBuildStats& stats() { return stats_; }
 
  private:
   BasicEgoNetworkExtractor<Adjacency> extractor_;
+  const GlobalEgoNetworks* listing_;
+  GlobalEgoNetworks::Scratch listing_scratch_;
   EgoTrussDecomposer decomposer_;
   EgoNetwork ego_;
   std::vector<std::uint32_t> trussness_;
   std::vector<std::uint32_t> by_weight_;  // ego edge ids, weight descending
   std::vector<std::uint32_t> bucket_;     // counting-sort cursors per weight
   DisjointSet dsu_;
+  std::vector<std::uint32_t> forest_a_;
+  std::vector<std::uint32_t> forest_b_;
+  std::vector<std::uint32_t> forest_weight_;
   DenseIdMap ids_;
   IndexBuildStats stats_;
 };
 
 extern template class ForestSliceBuilder<Graph>;
 extern template class ForestSliceBuilder<DynamicGraph>;
+
+/// The index build loop: per worker, a `make_builder()` appends each chunk
+/// of [0, n) (chunks in vertex order) to its output, timed into `stats`.
+template <typename Chunk, typename MakeBuilder>
+std::vector<Chunk> BuildChunks(VertexId n, std::uint32_t num_threads,
+                               MakeBuilder&& make_builder,
+                               IndexBuildStats* stats) {
+  std::vector<Chunk> chunks(
+      EffectiveChunks(ParallelConfig{num_threads, 0}, n));
+  std::vector<decltype(make_builder())> builders;
+  std::generate_n(std::back_inserter(builders), num_threads, make_builder);
+  ParallelForChunksIndexed(
+      n, static_cast<std::uint32_t>(chunks.size()), num_threads,
+      [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
+          std::uint64_t end) {
+        for (std::uint64_t v = begin; v < end; ++v) {
+          builders[worker].Append(static_cast<VertexId>(v), &chunks[c]);
+        }
+      });
+  for (const auto& builder : builders) {
+    stats->extraction_seconds += builder.stats().extraction_seconds;
+    stats->decomposition_seconds += builder.stats().decomposition_seconds;
+    stats->assembly_seconds += builder.stats().assembly_seconds;
+  }
+  return chunks;
+}
 
 namespace forest {
 

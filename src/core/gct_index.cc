@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/batch_query.h"
+#include "core/forest_slice.h"
 #include "core/query_pipeline.h"
 
 namespace tsd {
@@ -35,26 +35,6 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Scratch for one ego-network's Algorithm 8 run, reused across vertices.
-struct SupernodeBuilder {
-  DisjointSet merge;  // supernode membership over local vertices
-  DisjointSet conn;   // forest connectivity over local vertices
-  std::vector<std::uint32_t> vertex_tau;  // valid at merge roots
-  std::vector<std::uint32_t> sorted_edges;
-  std::vector<std::uint32_t> bucket;
-
-  struct RawSuperedge {
-    std::uint32_t u;  // local vertex
-    std::uint32_t w;  // local vertex
-    std::uint32_t weight;
-  };
-  std::vector<RawSuperedge> raw_superedges;
-};
-
-}  // namespace
-
-namespace {
-
 /// Per-chunk build output for the parallel GCT build; chunks cover
 /// contiguous ascending vertex ranges and concatenate in order.
 struct GctChunk {
@@ -66,135 +46,151 @@ struct GctChunk {
   std::vector<std::uint32_t> se_w;
   std::vector<std::uint32_t> per_vertex_sn_count;
   std::vector<std::uint32_t> per_vertex_se_count;
-  std::uint32_t max_trussness = 0;
-  double extraction_seconds = 0;
-  double decomposition_seconds = 0;
-  double assembly_seconds = 0;
 };
 
-/// Algorithm 8 on one decomposed ego-network; appends the resulting
-/// supernodes/superedges to `chunk`.
-void AssembleSupernodes(const EgoNetwork& ego,
-                        const std::vector<std::uint32_t>& trussness,
-                        SupernodeBuilder& scratch, GctChunk& chunk) {
-  const std::uint32_t l = ego.num_members();
-  const std::uint32_t m = ego.num_edges();
+/// A ForestSliceBuilder, and the scratch that contracts each fresh slice
+/// into v's supernodes and superedges.
+class GctSliceBuilder {
+ public:
+  GctSliceBuilder(const Graph& graph, EgoTrussMethod method,
+                  const GlobalEgoNetworks* listing)
+      : builder_(graph, method, listing) {}
 
-  scratch.merge.Reset(l);
-  scratch.conn.Reset(l);
-  scratch.vertex_tau.assign(l, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    const auto [a, b] = ego.edges[e];
-    scratch.vertex_tau[a] = std::max(scratch.vertex_tau[a], trussness[e]);
-    scratch.vertex_tau[b] = std::max(scratch.vertex_tau[b], trussness[e]);
+  /// Appends v's supernodes and superedges to `chunk`.
+  void Append(VertexId v, GctChunk* chunk);
+
+  /// The builder's phase times, the contraction charged to assembly.
+  const IndexBuildStats& stats() const { return builder_.stats(); }
+
+ private:
+  /// Root of x's supernode (path halving). Unions link the larger root
+  /// under the smaller, so a root is its supernode's smallest member.
+  std::uint32_t Find(std::uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
   }
 
-  // Edge ids in descending trussness order (counting sort).
-  std::uint32_t max_w = 0;
-  for (std::uint32_t w : trussness) max_w = std::max(max_w, w);
-  scratch.bucket.assign(max_w + 2, 0);
-  for (std::uint32_t w : trussness) ++scratch.bucket[w];
-  {
-    std::uint32_t cursor = 0;
-    for (std::uint32_t w = max_w + 1; w-- > 0;) {
-      const std::uint32_t count = scratch.bucket[w];
-      scratch.bucket[w] = cursor;
-      cursor += count;
+  ForestSliceBuilder<Graph> builder_;
+  std::vector<std::uint32_t> vertex_tau_;  // per local vertex; 0: isolated
+  std::vector<std::uint32_t> parent_;      // supernode forest over locals
+  std::vector<std::uint32_t> node_;        // local vertex -> supernode
+  std::vector<std::uint32_t> node_tau_;    // supernode -> trussness
+  std::vector<std::uint32_t> node_size_;   // supernode -> member count
+  std::vector<std::uint32_t> position_;    // supernode -> slice position
+  std::vector<std::uint32_t> cursor_;      // counting-sort cursors
+  std::vector<std::uint64_t> run_;  // one weight's superedges, (a, b) keys
+};
+
+void GctSliceBuilder::Append(VertexId v, GctChunk* chunk) {
+  const LocalForest forest = builder_.Build(v);
+  ScopedTimer t(&builder_.stats().assembly_seconds);
+  const auto l = static_cast<std::uint32_t>(forest.members.size());
+  const std::size_t num_edges = forest.weight.size();
+
+  // A vertex's trussness is its largest edge weight: that of the first
+  // forest edge at it, which Kruskal meets while the vertex is isolated. A
+  // forest edge merges two supernodes iff both endpoints have its weight as
+  // their trussness; the other forest edges are superedges.
+  vertex_tau_.assign(l, 0);
+  parent_.resize(l);
+  std::iota(parent_.begin(), parent_.end(), 0U);
+  for (std::size_t i = 0; i < num_edges; ++i) {
+    const std::uint32_t a = forest.a[i];
+    const std::uint32_t b = forest.b[i];
+    const std::uint32_t w = forest.weight[i];
+    if (vertex_tau_[a] == 0) vertex_tau_[a] = w;
+    if (vertex_tau_[b] == 0) vertex_tau_[b] = w;
+    if (vertex_tau_[a] == w && vertex_tau_[b] == w) {
+      const std::uint32_t ra = Find(a);
+      const std::uint32_t rb = Find(b);
+      parent_[std::max(ra, rb)] = std::min(ra, rb);
     }
   }
-  scratch.sorted_edges.resize(m);
-  for (EdgeId e = 0; e < m; ++e) {
-    scratch.sorted_edges[scratch.bucket[trussness[e]]++] = e;
-  }
 
-  // Process edges from the highest trussness down (Algorithm 8 lines 5-15).
-  scratch.raw_superedges.clear();
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const EdgeId e = scratch.sorted_edges[i];
-    const auto [u, w] = ego.edges[e];
-    const std::uint32_t t_e = trussness[e];
-    if (scratch.conn.Connected(u, w)) continue;
-    const std::uint32_t mu = scratch.merge.Find(u);
-    const std::uint32_t mw = scratch.merge.Find(w);
-    if (scratch.vertex_tau[mu] == t_e && scratch.vertex_tau[mw] == t_e) {
-      // Same trussness level on both sides: merge the supernodes.
-      scratch.merge.Union(mu, mw);
-      scratch.vertex_tau[scratch.merge.Find(mu)] = t_e;
+  // Supernodes numbered by ascending smallest member: a vertex opens one
+  // iff it is its root. Isolated vertices join none.
+  node_.resize(l);
+  node_tau_.clear();
+  node_size_.clear();
+  for (std::uint32_t x = 0; x < l; ++x) {
+    if (vertex_tau_[x] == 0) continue;
+    const std::uint32_t root = Find(x);
+    if (root == x) {
+      node_[x] = static_cast<std::uint32_t>(node_tau_.size());
+      node_tau_.push_back(vertex_tau_[x]);
+      node_size_.push_back(0);
     } else {
-      scratch.raw_superedges.push_back({u, w, t_e});
+      node_[x] = node_[root];
     }
-    scratch.conn.Union(u, w);
+    ++node_size_[node_[x]];
+  }
+  const auto num_nodes = static_cast<std::uint32_t>(node_tau_.size());
+
+  // Slice order is (trussness desc, smallest member asc): a stable counting
+  // sort of the numbering. The first forest edge is the heaviest.
+  const std::uint32_t max_tau = num_edges == 0 ? 0 : forest.weight[0];
+  cursor_.assign(std::size_t{max_tau} + 1, 0);
+  for (std::uint32_t tau : node_tau_) ++cursor_[tau];
+  std::uint32_t next = 0;
+  for (std::uint32_t tau = max_tau + 1; tau-- > 0;) {
+    const std::uint32_t count = cursor_[tau];
+    cursor_[tau] = next;
+    next += count;
+  }
+  position_.resize(num_nodes);
+  const std::size_t sn_base = chunk->sn_tau.size();
+  chunk->sn_tau.resize(sn_base + num_nodes);
+  chunk->sn_member_count.resize(sn_base + num_nodes);
+  chunk->per_vertex_sn_count.push_back(num_nodes);
+  for (std::uint32_t s = 0; s < num_nodes; ++s) {
+    position_[s] = cursor_[node_tau_[s]]++;
+    chunk->sn_tau[sn_base + position_[s]] = node_tau_[s];
+    chunk->sn_member_count[sn_base + position_[s]] = node_size_[s];
   }
 
-  // Collect final supernodes: group non-isolated locals by merge root.
-  std::unordered_map<std::uint32_t, std::uint32_t> root_to_sn;
-  std::vector<std::uint32_t> sn_tau;
-  std::vector<std::vector<VertexId>> sn_members;
-  for (std::uint32_t u = 0; u < l; ++u) {
-    if (scratch.vertex_tau[u] < 2 &&
-        scratch.vertex_tau[scratch.merge.Find(u)] < 2) {
-      continue;  // isolated member: belongs to no social context
+  // Members by a counting sort on slice position; visiting vertices in
+  // ascending local (= global) order leaves every member list sorted.
+  cursor_.resize(num_nodes);
+  next = 0;
+  for (std::uint32_t p = 0; p < num_nodes; ++p) {
+    cursor_[p] = next;
+    next += chunk->sn_member_count[sn_base + p];
+  }
+  const std::size_t member_base = chunk->members.size();
+  chunk->members.resize(member_base + next);
+  for (std::uint32_t x = 0; x < l; ++x) {
+    if (vertex_tau_[x] == 0) continue;
+    chunk->members[member_base + cursor_[position_[node_[x]]]++] =
+        forest.members[x];
+  }
+
+  // Superedges, between slice positions, come weight-descending: only each
+  // equal-weight run is sorted, by (a, b).
+  const std::size_t se_base = chunk->se_w.size();
+  for (std::size_t i = 0; i < num_edges;) {
+    const std::uint32_t w = forest.weight[i];
+    run_.clear();
+    for (; i < num_edges && forest.weight[i] == w; ++i) {
+      const std::uint32_t a = forest.a[i];
+      const std::uint32_t b = forest.b[i];
+      if (vertex_tau_[a] == w && vertex_tau_[b] == w) continue;
+      const std::uint32_t pa = position_[node_[a]];
+      const std::uint32_t pb = position_[node_[b]];
+      run_.push_back((std::uint64_t{std::min(pa, pb)} << 32) |
+                     std::max(pa, pb));
     }
-    const std::uint32_t root = scratch.merge.Find(u);
-    auto [it, inserted] =
-        root_to_sn.emplace(root, static_cast<std::uint32_t>(sn_tau.size()));
-    if (inserted) {
-      sn_tau.push_back(scratch.vertex_tau[root]);
-      sn_members.emplace_back();
+    std::sort(run_.begin(), run_.end());
+    for (std::uint64_t key : run_) {
+      chunk->se_a.push_back(static_cast<std::uint32_t>(key >> 32));
+      chunk->se_b.push_back(static_cast<std::uint32_t>(key));
+      chunk->se_w.push_back(w);
     }
-    sn_members[it->second].push_back(ego.ToGlobal(u));
   }
-
-  // Order supernodes by (trussness desc, smallest member asc).
-  const std::uint32_t num_sn = static_cast<std::uint32_t>(sn_tau.size());
-  std::vector<std::uint32_t> order(num_sn);
-  std::iota(order.begin(), order.end(), 0U);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (sn_tau[a] != sn_tau[b]) return sn_tau[a] > sn_tau[b];
-              return sn_members[a].front() < sn_members[b].front();
-            });
-  std::vector<std::uint32_t> position(num_sn);
-  for (std::uint32_t i = 0; i < num_sn; ++i) position[order[i]] = i;
-
-  for (std::uint32_t i = 0; i < num_sn; ++i) {
-    const std::uint32_t sn = order[i];
-    chunk.sn_tau.push_back(sn_tau[sn]);
-    chunk.max_trussness = std::max(chunk.max_trussness, sn_tau[sn]);
-    auto& members = sn_members[sn];
-    std::sort(members.begin(), members.end());
-    chunk.members.insert(chunk.members.end(), members.begin(), members.end());
-    chunk.sn_member_count.push_back(
-        static_cast<std::uint32_t>(members.size()));
-  }
-  chunk.per_vertex_sn_count.push_back(num_sn);
-
-  // Resolve superedges to final supernode slice positions and order them
-  // by weight descending (ties: by (a, b) for determinism).
-  struct FinalSuperedge {
-    std::uint32_t a, b, w;
-  };
-  std::vector<FinalSuperedge> finals;
-  finals.reserve(scratch.raw_superedges.size());
-  for (const auto& raw : scratch.raw_superedges) {
-    std::uint32_t a = position[root_to_sn.at(scratch.merge.Find(raw.u))];
-    std::uint32_t b = position[root_to_sn.at(scratch.merge.Find(raw.w))];
-    if (a > b) std::swap(a, b);
-    finals.push_back({a, b, raw.weight});
-  }
-  std::sort(finals.begin(), finals.end(),
-            [](const FinalSuperedge& x, const FinalSuperedge& y) {
-              if (x.w != y.w) return x.w > y.w;
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
-  for (const auto& fe : finals) {
-    chunk.se_a.push_back(fe.a);
-    chunk.se_b.push_back(fe.b);
-    chunk.se_w.push_back(fe.w);
-  }
-  chunk.per_vertex_se_count.push_back(
-      static_cast<std::uint32_t>(finals.size()));
+  chunk->per_vertex_se_count.push_back(
+      static_cast<std::uint32_t>(chunk->se_w.size() - se_base));
 }
 
 }  // namespace
@@ -204,97 +200,58 @@ GctIndex GctIndex::Build(const Graph& graph, const Options& options) {
   WallTimer total;
   GctIndex index;
   const VertexId n = graph.num_vertices();
-  std::vector<std::uint32_t> sn_offsets(std::size_t{n} + 1, 0);
-  std::vector<std::uint32_t> se_offsets(std::size_t{n} + 1, 0);
-  std::vector<std::uint32_t> member_offsets(1, 0);
-  std::vector<std::uint32_t> sn_tau;
-  std::vector<VertexId> members;
-  std::vector<std::uint32_t> se_a;
-  std::vector<std::uint32_t> se_b;
-  std::vector<std::uint32_t> se_w;
 
   // Ego-network source: one-shot global listing (Section 6.2) or the
   // per-vertex extractor (ablation). The listing is shared read-only
-  // across workers.
-  std::unique_ptr<GlobalEgoNetworks> global;
+  // across workers, and its triangle passes run on the build workers too.
+  std::unique_ptr<GlobalEgoNetworks> listing;
   if (options.use_global_listing) {
-    WallTimer listing;
-    // The listing's triangle passes run on the build workers too (it used
-    // to be the build's sequential prologue).
-    global = std::make_unique<GlobalEgoNetworks>(
+    WallTimer timer;
+    listing = std::make_unique<GlobalEgoNetworks>(
         graph, ParallelConfig{options.num_threads, 0});
-    index.build_stats_.extraction_seconds += listing.Seconds();
+    index.build_stats_.extraction_seconds += timer.Seconds();
   }
 
-  const std::uint32_t num_chunks =
-      EffectiveChunks(ParallelConfig{options.num_threads, 0}, n);
-  std::vector<GctChunk> chunks(num_chunks);
+  // Each slice is contracted as soon as it is built.
+  std::vector<GctChunk> chunks = BuildChunks<GctChunk>(
+      n, options.num_threads,
+      [&] { return GctSliceBuilder(graph, options.method, listing.get()); },
+      &index.build_stats_);
 
-  ParallelForChunks(
-      n, num_chunks, options.num_threads,
-      [&](std::uint32_t c, std::uint64_t begin, std::uint64_t end) {
-        GctChunk& chunk = chunks[c];
-        EgoNetworkExtractor extractor(graph);
-        EgoTrussDecomposer decomposer(options.method);
-        EgoNetwork ego;
-        SupernodeBuilder scratch;
-        for (std::uint64_t v = begin; v < end; ++v) {
-          {
-            ScopedTimer t(&chunk.extraction_seconds);
-            if (global != nullptr) {
-              global->MaterializeInto(static_cast<VertexId>(v), &ego);
-            } else {
-              extractor.ExtractInto(static_cast<VertexId>(v), &ego);
-            }
-          }
-          std::vector<std::uint32_t> trussness;
-          {
-            ScopedTimer t(&chunk.decomposition_seconds);
-            trussness = decomposer.Compute(ego);
-          }
-          ScopedTimer t(&chunk.assembly_seconds);
-          AssembleSupernodes(ego, trussness, scratch, chunk);
-        }
-      });
-
-  // Merge chunks in vertex order.
-  VertexId v = 0;
-  std::size_t sn_cursor = 0;
-  for (GctChunk& chunk : chunks) {
-    std::size_t local_sn = 0;
-    std::size_t local_se = 0;
-    for (std::size_t i = 0; i < chunk.per_vertex_sn_count.size(); ++i) {
-      local_sn += chunk.per_vertex_sn_count[i];
-      local_se += chunk.per_vertex_se_count[i];
-      sn_offsets[v + 1] = static_cast<std::uint32_t>(sn_cursor + local_sn);
-      se_offsets[v + 1] = static_cast<std::uint32_t>(se_w.size() + local_se);
-      ++v;
+  // Append every later chunk to the first, column by column; the counts
+  // become offsets.
+  GctChunk& all = chunks.front();
+  for (std::vector<std::uint32_t> GctChunk::*column :
+       {&GctChunk::sn_tau, &GctChunk::sn_member_count, &GctChunk::members,
+        &GctChunk::se_a, &GctChunk::se_b, &GctChunk::se_w,
+        &GctChunk::per_vertex_sn_count, &GctChunk::per_vertex_se_count}) {
+    for (std::size_t c = 1; c < chunks.size(); ++c) {
+      (all.*column).insert((all.*column).end(), (chunks[c].*column).begin(),
+                           (chunks[c].*column).end());
     }
-    sn_cursor += local_sn;
-    sn_tau.insert(sn_tau.end(), chunk.sn_tau.begin(), chunk.sn_tau.end());
-    for (std::uint32_t count : chunk.sn_member_count) {
-      TSD_CHECK_MSG(member_offsets.back() + std::uint64_t{count} < UINT32_MAX,
-                    "GCT member array overflows 32-bit offsets");
-      member_offsets.push_back(member_offsets.back() + count);
-    }
-    members.insert(members.end(), chunk.members.begin(), chunk.members.end());
-    se_a.insert(se_a.end(), chunk.se_a.begin(), chunk.se_a.end());
-    se_b.insert(se_b.end(), chunk.se_b.begin(), chunk.se_b.end());
-    se_w.insert(se_w.end(), chunk.se_w.begin(), chunk.se_w.end());
-    index.max_trussness_ = std::max(index.max_trussness_, chunk.max_trussness);
-    index.build_stats_.extraction_seconds += chunk.extraction_seconds;
-    index.build_stats_.decomposition_seconds += chunk.decomposition_seconds;
-    index.build_stats_.assembly_seconds += chunk.assembly_seconds;
   }
-  TSD_CHECK(v == n);
-  index.sn_offsets_ = std::move(sn_offsets);
-  index.sn_tau_ = std::move(sn_tau);
-  index.member_offsets_ = std::move(member_offsets);
-  index.members_ = std::move(members);
-  index.se_offsets_ = std::move(se_offsets);
-  index.se_a_ = std::move(se_a);
-  index.se_b_ = std::move(se_b);
-  index.se_w_ = std::move(se_w);
+  TSD_CHECK(all.per_vertex_sn_count.size() == n);
+  // A vertex has at least as many members as supernodes, and fewer
+  // superedges (a forest over them), so the member count bounds every
+  // offset.
+  TSD_CHECK_MSG(all.members.size() < UINT32_MAX,
+                "GCT member array overflows 32-bit offsets");
+  const auto offsets = [](const std::vector<std::uint32_t>& counts) {
+    std::vector<std::uint32_t> offsets(counts.size() + 1, 0);
+    std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
+    return offsets;
+  };
+  index.sn_offsets_ = offsets(all.per_vertex_sn_count);
+  index.member_offsets_ = offsets(all.sn_member_count);
+  index.se_offsets_ = offsets(all.per_vertex_se_count);
+  for (const std::uint32_t tau : all.sn_tau) {
+    index.max_trussness_ = std::max(index.max_trussness_, tau);
+  }
+  index.sn_tau_ = std::move(all.sn_tau);
+  index.members_ = std::move(all.members);
+  index.se_a_ = std::move(all.se_a);
+  index.se_b_ = std::move(all.se_b);
+  index.se_w_ = std::move(all.se_w);
   index.rankings_ = std::make_shared<RankingMemo>(index.max_trussness_);
   index.build_stats_.total_seconds = total.Seconds();
   return index;

@@ -3,10 +3,13 @@
 // GCT compresses the TSD forest of every ego-network into supernodes and
 // superedges: a supernode groups the member vertices that are connected via
 // edges of one trussness level inside one social context; superedges record
-// how contexts of different levels attach to each other. Construction uses
+// how contexts of different levels attach to each other. Construction
+// contracts the TSD forest slice (core/forest_slice.h): Algorithm 8 skips
+// every edge whose endpoints are already connected, so it reads only the
+// maximum spanning forest, in Kruskal order. The slice builder runs with
 // the two Section 6.2 accelerations — one-shot global triangle listing for
-// ego-network extraction and bitmap-based truss decomposition — and queries
-// reduce to Lemma 3:
+// ego-network extraction and bitmap-based truss decomposition — and
+// queries reduce to Lemma 3:
 //
 //     score(v) = N_k − M_k
 //
@@ -41,7 +44,6 @@
 #include "core/scoring.h"
 #include "core/tsd_index.h"
 #include "core/types.h"
-#include "graph/ego_network.h"
 #include "truss/ego_truss.h"
 
 namespace tsd {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 
 namespace tsd {
@@ -29,32 +28,13 @@ bool Fail(std::string* error, const std::string& message) {
 TsdIndex TsdIndex::Build(const Graph& graph, const Options& options) {
   TSD_CHECK(options.num_threads >= 1);
   WallTimer total;
-  const VertexId n = graph.num_vertices();
-  const std::uint32_t num_chunks =
-      EffectiveChunks(ParallelConfig{options.num_threads, 0}, n);
-  std::vector<ForestColumns> chunks(num_chunks);
-  std::vector<ForestSliceBuilder<Graph>> builders;
-  builders.reserve(options.num_threads);
-  for (std::uint32_t t = 0; t < options.num_threads; ++t) {
-    builders.emplace_back(graph, options.method);
-  }
-  ParallelForChunksIndexed(
-      n, num_chunks, options.num_threads,
-      [&](std::uint32_t worker, std::uint32_t c, std::uint64_t begin,
-          std::uint64_t end) {
-        for (std::uint64_t v = begin; v < end; ++v) {
-          builders[worker].Append(static_cast<VertexId>(v), &chunks[c]);
-        }
-      });
-
-  TsdIndex index = FromColumns(std::move(chunks));
-  TSD_CHECK(index.num_vertices() == n);
-  for (const ForestSliceBuilder<Graph>& builder : builders) {
-    const IndexBuildStats& stats = builder.stats();
-    index.build_stats_.extraction_seconds += stats.extraction_seconds;
-    index.build_stats_.decomposition_seconds += stats.decomposition_seconds;
-    index.build_stats_.assembly_seconds += stats.assembly_seconds;
-  }
+  IndexBuildStats stats;
+  TsdIndex index = FromColumns(BuildChunks<ForestColumns>(
+      graph.num_vertices(), options.num_threads,
+      [&] { return ForestSliceBuilder<Graph>(graph, options.method); },
+      &stats));
+  TSD_CHECK(index.num_vertices() == graph.num_vertices());
+  index.build_stats_ = stats;
   index.build_stats_.total_seconds = total.Seconds();
   return index;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/timer.h"
 #include "graph/triangle.h"
 
 namespace tsd {
@@ -25,14 +24,16 @@ void EgoNetwork::BuildCsr() {
   for (std::uint32_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   adj.resize(2ULL * m);
   adj_edge_ids.resize(2ULL * m);
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  // offsets[v] is v's fill cursor; shifting back afterwards restores it.
   for (EdgeId e = 0; e < m; ++e) {
     const auto [u, v] = edges[e];
-    adj[cursor[u]] = v;
-    adj_edge_ids[cursor[u]++] = e;
-    adj[cursor[v]] = u;
-    adj_edge_ids[cursor[v]++] = e;
+    adj[offsets[u]] = v;
+    adj_edge_ids[offsets[u]++] = e;
+    adj[offsets[v]] = u;
+    adj_edge_ids[offsets[v]++] = e;
   }
+  for (std::uint32_t v = n; v > 0; --v) offsets[v] = offsets[v - 1];
+  offsets[0] = 0;
   // Edges are sorted by (u, v) with u < v, so adjacency lists come out
   // sorted for the same reason as in GraphBuilder::Build.
 }
@@ -91,7 +92,6 @@ constexpr std::uint64_t kFillMatrixBudgetBytes = std::uint64_t{1} << 30;
 GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
                                      const ParallelConfig& config)
     : graph_(graph) {
-  WallTimer timer;
   const VertexId n = graph.num_vertices();
 
   // One forward-adjacency structure (built on config's workers) drives both
@@ -133,7 +133,6 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
           ego_edges_[cursor[v]++] = Edge{std::min(u, w), std::max(u, w)};
           ego_edges_[cursor[u]++] = Edge{std::min(v, w), std::max(v, w)};
         });
-    listing_seconds_ = timer.Seconds();
     return;
   }
 
@@ -201,16 +200,10 @@ GlobalEgoNetworks::GlobalEgoNetworks(const Graph& graph,
               ego_edges_[cursor[u]++] = Edge{std::min(v, w), std::max(v, w)};
             });
       });
-  listing_seconds_ = timer.Seconds();
 }
 
-EgoNetwork GlobalEgoNetworks::Materialize(VertexId v) const {
-  EgoNetwork out;
-  MaterializeInto(v, &out);
-  return out;
-}
-
-void GlobalEgoNetworks::MaterializeInto(VertexId v, EgoNetwork* out) const {
+void GlobalEgoNetworks::MaterializeInto(VertexId v, EgoNetwork* out,
+                                        Scratch* scratch) const {
   TSD_DCHECK(v < graph_.num_vertices());
   out->center = v;
   out->members.assign(graph_.neighbors(v).begin(),
@@ -219,12 +212,12 @@ void GlobalEgoNetworks::MaterializeInto(VertexId v, EgoNetwork* out) const {
   out->adj.clear();
   out->adj_edge_ids.clear();
 
-  // Global-to-local translation via a thread-local mark array (zeroed
-  // between calls), instead of per-endpoint binary search — materialization
-  // is on the index-construction hot path.
-  static thread_local std::vector<std::uint32_t> local_plus_one;
+  // Global-to-local translation via the mark array (zeroed between calls),
+  // instead of per-endpoint binary search — materialization is on the
+  // index-construction hot path.
+  std::vector<std::uint32_t>& local_plus_one = scratch->local_plus_one;
   if (local_plus_one.size() < graph_.num_vertices()) {
-    local_plus_one.assign(graph_.num_vertices(), 0);
+    local_plus_one.resize(graph_.num_vertices(), 0);
   }
   for (std::uint32_t i = 0; i < out->members.size(); ++i) {
     local_plus_one[out->members[i]] = i + 1;
@@ -232,11 +225,9 @@ void GlobalEgoNetworks::MaterializeInto(VertexId v, EgoNetwork* out) const {
 
   // Translate, pack each edge into one 64-bit key, sort numerically
   // (equivalent to lexicographic (u, v) order), unpack.
-  const auto global_edges = EgoEdges(v);
-  static thread_local std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t>& keys = scratch->keys;
   keys.clear();
-  keys.reserve(global_edges.size());
-  for (const Edge& e : global_edges) {
+  for (const Edge& e : EgoEdges(v)) {
     const std::uint32_t lu = local_plus_one[e.u];
     const std::uint32_t lv = local_plus_one[e.v];
     TSD_DCHECK(lu != 0 && lv != 0);

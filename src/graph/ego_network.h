@@ -69,8 +69,8 @@ struct EgoNetwork {
 template <typename Adjacency>
 class BasicEgoNetworkExtractor {
  public:
-  explicit BasicEgoNetworkExtractor(const Adjacency& graph)
-      : graph_(&graph), local_id_(graph.num_vertices(), 0) {}
+  /// The mark array is sized on the first extraction.
+  explicit BasicEgoNetworkExtractor(const Adjacency& graph) : graph_(&graph) {}
 
   /// Retargets the extractor to another graph, reusing the scratch buffers
   /// (only grown, never shrunk). Lets a per-query reduced graph — e.g. the
@@ -87,8 +87,6 @@ class BasicEgoNetworkExtractor {
 
   /// Extraction reusing the caller's EgoNetwork storage.
   void ExtractInto(VertexId v, EgoNetwork* out);
-
-  const Adjacency& graph() const { return *graph_; }
 
  private:
   const Adjacency* graph_;
@@ -122,26 +120,24 @@ class GlobalEgoNetworks {
             ego_edges_.data() + offsets_[v + 1]};
   }
 
-  /// Materializes the full EgoNetwork (members = N(v), local-id edges).
-  EgoNetwork Materialize(VertexId v) const;
-  void MaterializeInto(VertexId v, EgoNetwork* out) const;
+  /// MaterializeInto's scratch, one per thread: a global-to-local mark array
+  /// (all zero between calls) and an edge-key buffer.
+  struct Scratch {
+    std::vector<std::uint32_t> local_plus_one;
+    std::vector<std::uint64_t> keys;
+  };
 
-  /// Seconds spent in the global triangle listing pass.
-  double listing_seconds() const { return listing_seconds_; }
+  /// Materializes the full EgoNetwork (members = N(v), local-id edges)
+  /// into the caller's storage.
+  void MaterializeInto(VertexId v, EgoNetwork* out, Scratch* scratch) const;
 
   /// Total number of triangles in the graph.
   std::uint64_t num_triangles() const { return ego_edges_.size() / 3; }
-
-  std::size_t MemoryBytes() const {
-    return offsets_.size() * sizeof(std::uint64_t) +
-           ego_edges_.size() * sizeof(Edge);
-  }
 
  private:
   const Graph& graph_;
   std::vector<std::uint64_t> offsets_;  // size n+1
   std::vector<Edge> ego_edges_;         // flat, grouped by center vertex
-  double listing_seconds_ = 0;
 };
 
 }  // namespace tsd

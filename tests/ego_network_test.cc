@@ -76,9 +76,11 @@ TEST(EgoNetworkTest, GlobalOneShotMatchesPerVertexExtraction) {
   for (std::uint64_t seed : {4ull, 21ull}) {
     Graph g = HolmeKim(150, 5, 0.6, seed);
     GlobalEgoNetworks global(g);
+    GlobalEgoNetworks::Scratch scratch;
     EgoNetworkExtractor extractor(g);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      EgoNetwork a = global.Materialize(v);
+      EgoNetwork a;
+      global.MaterializeInto(v, &a, &scratch);
       EgoNetwork b = extractor.Extract(v);
       EXPECT_EQ(a.members, b.members) << "vertex " << v;
       EXPECT_EQ(a.edges, b.edges) << "vertex " << v;

@@ -5,19 +5,34 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "common/check.h"
+#include "common/snapshot.h"
 #include "core/gct_index.h"
 #include "core/online_search.h"
 #include "core/tsd_index.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "reference_impls.h"
 
 namespace tsd {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// The bytes of a single-index snapshot of `index`.
+template <typename Index>
+std::string SnapshotBytes(const Index& index, const std::string& name) {
+  const std::string path = TempPath(name);
+  index.Save(path);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
 }
 
 TEST(TsdIndexTest, SaveLoadRoundTripPreservesAllScores) {
@@ -177,20 +192,129 @@ TEST(GctIndexTest, GctComparableToTsdOnDenseGraphs) {
   EXPECT_LT(gct.SizeBytes(), 2 * tsd.SizeBytes());
 }
 
+// The snapshot bytes, not just the scores, must not depend on the ego
+// source, the ego truss kernel or the thread count.
 TEST(GctIndexTest, HashKernelAndPerVertexExtractionProduceSameScores) {
   Graph g = HolmeKim(200, 5, 0.6, 41);
-  GctIndex::Options hash_opts;
-  hash_opts.method = EgoTrussMethod::kHash;
-  GctIndex::Options no_listing;
-  no_listing.use_global_listing = false;
-  GctIndex reference = GctIndex::Build(g);
-  GctIndex hash_built = GctIndex::Build(g, hash_opts);
-  GctIndex extract_built = GctIndex::Build(g, no_listing);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (std::uint32_t k = 2; k <= 6; ++k) {
-      EXPECT_EQ(reference.Score(v, k), hash_built.Score(v, k));
-      EXPECT_EQ(reference.Score(v, k), extract_built.Score(v, k));
+  const GctIndex reference = GctIndex::Build(g);
+  const std::string reference_bytes =
+      SnapshotBytes(reference, "gct_options_reference.bin");
+  for (const bool listing : {true, false}) {
+    for (const EgoTrussMethod method :
+         {EgoTrussMethod::kBitmap, EgoTrussMethod::kHash}) {
+      for (const std::uint32_t threads : {1U, 2U, 8U}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "listing=" << listing << " hash="
+                     << (method == EgoTrussMethod::kHash)
+                     << " threads=" << threads);
+        GctIndex::Options options;
+        options.use_global_listing = listing;
+        options.method = method;
+        options.num_threads = threads;
+        const GctIndex built = GctIndex::Build(g, options);
+        EXPECT_EQ(SnapshotBytes(built, "gct_options.bin"), reference_bytes);
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          for (std::uint32_t k = 2; k <= 6; ++k) {
+            EXPECT_EQ(built.Score(v, k), reference.Score(v, k));
+          }
+        }
+      }
     }
+  }
+  const std::string tsd_bytes =
+      SnapshotBytes(TsdIndex::Build(g), "tsd_threads_reference.bin");
+  for (const std::uint32_t threads : {2U, 8U}) {
+    TsdIndex::Options options;
+    options.num_threads = threads;
+    EXPECT_EQ(SnapshotBytes(TsdIndex::Build(g, options), "tsd_threads.bin"),
+              tsd_bytes)
+        << "threads=" << threads;
+  }
+}
+
+// Two ego-networks that each hold a 4-clique through c plus a weight-3
+// triangle a-b-c, with τ(c) = 4 > 3. Kruskal meets equal weights in ego edge
+// order: at center 0 (a=1, b=2, c=3) edge a-b comes first and merges a and
+// b; at center 10 (c=11, a=12, b=13) edges c-a and c-b come first, so a-b
+// closes a cycle and a, b stay two supernodes.
+Graph EqualWeightTieGraph() {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  auto clique = [&](std::vector<VertexId> vertices) {
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+      for (std::size_t j = i + 1; j < vertices.size(); ++j) {
+        edges.emplace_back(vertices[i], vertices[j]);
+      }
+    }
+  };
+  for (const VertexId center : {0U, 10U}) {
+    const VertexId a = center == 0 ? 1 : 12;
+    const VertexId b = center == 0 ? 2 : 13;
+    const VertexId c = center == 0 ? 3 : 11;
+    clique({c, center + 4, center + 5, center + 6});
+    clique({a, b, c});
+    for (const VertexId member :
+         {a, b, c, center + 4, center + 5, center + 6}) {
+      edges.emplace_back(center, member);
+    }
+  }
+  return Graph::FromEdges(std::move(edges));
+}
+
+TEST(GctIndexTest, EqualWeightTieFollowsKruskalOrder) {
+  const GctIndex index = GctIndex::Build(EqualWeightTieGraph());
+  EXPECT_EQ(index.NumSupernodes(0), 2u);
+  EXPECT_EQ(index.NumSuperedges(0), 1u);
+  EXPECT_EQ(index.NumSupernodes(10), 3u);
+  EXPECT_EQ(index.NumSuperedges(10), 2u);
+}
+
+// The contraction of the forest slices must reproduce Algorithm 8 array
+// for array, as stored in the "gctx.*" snapshot sections.
+TEST(GctIndexTest, SnapshotArraysMatchAlgorithm8Reference) {
+  CollaborationOptions cliques;
+  cliques.num_authors = 1500;
+  cliques.num_groups = 160;
+  cliques.intra_group_probability = 1.0;
+  cliques.bridge_edges_per_author = 0.05;
+  cliques.num_hubs = 5;
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("figure1", PaperFigure1Graph());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    graphs.emplace_back("holme-kim-" + std::to_string(seed),
+                        HolmeKim(200, 6, 0.7, seed));
+  }
+  graphs.emplace_back("wiki-vote-tiny", MakeDataset("wiki-vote", "tiny"));
+  graphs.emplace_back("cliques", Collaboration(cliques, 3).graph);
+  graphs.emplace_back("equal-weight-tie", EqualWeightTieGraph());
+
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const testing::GctArrays expected = testing::ReferenceGct(g);
+    const std::string path = TempPath("gct_reference.bin");
+    GctIndex::Build(g).Save(path);
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(SnapshotReader::Open(path, &reader, &error)) << error;
+    std::uint64_t meta[3] = {};
+    ASSERT_TRUE(reader.ReadScalars(SnapshotTag("gctx.met"), meta, &error));
+    EXPECT_EQ(meta[1], g.num_vertices());
+    EXPECT_EQ(meta[2], expected.max_trussness);
+    const std::pair<const char*, const std::vector<std::uint32_t>*> arrays[] =
+        {{"gctx.sno", &expected.sn_offsets},
+         {"gctx.tau", &expected.sn_tau},
+         {"gctx.mof", &expected.member_offsets},
+         {"gctx.mem", &expected.members},
+         {"gctx.seo", &expected.se_offsets},
+         {"gctx.sea", &expected.se_a},
+         {"gctx.seb", &expected.se_b},
+         {"gctx.sew", &expected.se_w}};
+    for (const auto& [tag, want] : arrays) {
+      std::span<const std::uint32_t> got;
+      ASSERT_TRUE(reader.Read(SnapshotTag(tag), &got, &error)) << error;
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), *want)
+          << tag;
+    }
+    std::filesystem::remove(path);
   }
 }
 

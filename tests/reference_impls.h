@@ -7,12 +7,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/disjoint_set.h"
 #include "core/types.h"
+#include "graph/ego_network.h"
 #include "graph/graph.h"
+#include "truss/ego_truss.h"
 
 namespace tsd::testing {
 
@@ -152,6 +156,131 @@ NaiveScore(const Graph& g, VertexId v, std::uint32_t k) {
   }
   std::sort(contexts.begin(), contexts.end());
   return {static_cast<std::uint32_t>(contexts.size()), contexts};
+}
+
+/// The GCT-index arrays, laid out as GctIndex stores them (the "gctx.*"
+/// snapshot sections).
+struct GctArrays {
+  std::vector<std::uint32_t> sn_offsets{0};
+  std::vector<std::uint32_t> sn_tau;
+  std::vector<std::uint32_t> member_offsets{0};
+  std::vector<VertexId> members;
+  std::vector<std::uint32_t> se_offsets{0};
+  std::vector<std::uint32_t> se_a;
+  std::vector<std::uint32_t> se_b;
+  std::vector<std::uint32_t> se_w;
+  std::uint32_t max_trussness = 0;
+};
+
+/// Algorithm 8 as written, over every extracted and decomposed ego-network:
+/// edges by trussness descending (a stable counting sort, ties in ego edge
+/// order), each edge skipped if its endpoints are connected, else merging
+/// the two supernodes when both have its trussness, else recorded as a
+/// superedge. Supernodes are ordered by (trussness desc, smallest member
+/// asc), superedges by (weight desc, a, b).
+inline GctArrays ReferenceGct(const Graph& g) {
+  GctArrays out;
+  EgoNetworkExtractor extractor(g);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EgoNetwork ego = extractor.Extract(v);
+    const std::vector<std::uint32_t> trussness =
+        ComputeEgoTrussness(ego, EgoTrussMethod::kHash);
+    const std::uint32_t l = ego.num_members();
+    const std::uint32_t m = ego.num_edges();
+
+    DisjointSet merge(l);
+    DisjointSet conn(l);
+    std::vector<std::uint32_t> vertex_tau(l, 0);  // valid at merge roots
+    for (EdgeId e = 0; e < m; ++e) {
+      const auto [a, b] = ego.edges[e];
+      vertex_tau[a] = std::max(vertex_tau[a], trussness[e]);
+      vertex_tau[b] = std::max(vertex_tau[b], trussness[e]);
+    }
+    std::vector<EdgeId> sorted_edges(m);
+    std::iota(sorted_edges.begin(), sorted_edges.end(), 0U);
+    std::stable_sort(sorted_edges.begin(), sorted_edges.end(),
+                     [&](EdgeId x, EdgeId y) {
+                       return trussness[x] > trussness[y];
+                     });
+
+    struct RawSuperedge {
+      std::uint32_t u, w, weight;  // local vertices
+    };
+    std::vector<RawSuperedge> raw_superedges;
+    for (const EdgeId e : sorted_edges) {
+      const auto [u, w] = ego.edges[e];
+      const std::uint32_t t_e = trussness[e];
+      if (conn.Connected(u, w)) continue;
+      const std::uint32_t mu = merge.Find(u);
+      const std::uint32_t mw = merge.Find(w);
+      if (vertex_tau[mu] == t_e && vertex_tau[mw] == t_e) {
+        merge.Union(mu, mw);
+        vertex_tau[merge.Find(mu)] = t_e;
+      } else {
+        raw_superedges.push_back({u, w, t_e});
+      }
+      conn.Union(u, w);
+    }
+
+    // Group non-isolated members by merge root.
+    std::unordered_map<std::uint32_t, std::uint32_t> root_to_sn;
+    std::vector<std::uint32_t> sn_tau;
+    std::vector<std::vector<VertexId>> sn_members;
+    for (std::uint32_t u = 0; u < l; ++u) {
+      if (vertex_tau[u] < 2 && vertex_tau[merge.Find(u)] < 2) continue;
+      const std::uint32_t root = merge.Find(u);
+      auto [it, inserted] =
+          root_to_sn.emplace(root, static_cast<std::uint32_t>(sn_tau.size()));
+      if (inserted) {
+        sn_tau.push_back(vertex_tau[root]);
+        sn_members.emplace_back();
+      }
+      sn_members[it->second].push_back(ego.ToGlobal(u));
+    }
+    const auto num_sn = static_cast<std::uint32_t>(sn_tau.size());
+    std::vector<std::uint32_t> order(num_sn);
+    std::iota(order.begin(), order.end(), 0U);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (sn_tau[a] != sn_tau[b]) return sn_tau[a] > sn_tau[b];
+      return sn_members[a].front() < sn_members[b].front();
+    });
+    std::vector<std::uint32_t> position(num_sn);
+    for (std::uint32_t i = 0; i < num_sn; ++i) position[order[i]] = i;
+    for (const std::uint32_t sn : order) {
+      out.sn_tau.push_back(sn_tau[sn]);
+      out.max_trussness = std::max(out.max_trussness, sn_tau[sn]);
+      std::vector<VertexId>& members = sn_members[sn];
+      std::sort(members.begin(), members.end());
+      out.members.insert(out.members.end(), members.begin(), members.end());
+      out.member_offsets.push_back(
+          static_cast<std::uint32_t>(out.members.size()));
+    }
+    out.sn_offsets.push_back(static_cast<std::uint32_t>(out.sn_tau.size()));
+
+    struct Superedge {
+      std::uint32_t w, a, b;
+    };
+    std::vector<Superedge> finals;
+    for (const RawSuperedge& raw : raw_superedges) {
+      std::uint32_t a = position[root_to_sn.at(merge.Find(raw.u))];
+      std::uint32_t b = position[root_to_sn.at(merge.Find(raw.w))];
+      if (a > b) std::swap(a, b);
+      finals.push_back({raw.weight, a, b});
+    }
+    std::sort(finals.begin(), finals.end(),
+              [](const Superedge& x, const Superedge& y) {
+                if (x.w != y.w) return x.w > y.w;
+                if (x.a != y.a) return x.a < y.a;
+                return x.b < y.b;
+              });
+    for (const Superedge& se : finals) {
+      out.se_a.push_back(se.a);
+      out.se_b.push_back(se.b);
+      out.se_w.push_back(se.w);
+    }
+    out.se_offsets.push_back(static_cast<std::uint32_t>(out.se_w.size()));
+  }
+  return out;
 }
 
 /// Every vertex's (score, contexts) under one model and threshold, ranked
