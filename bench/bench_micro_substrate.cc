@@ -1,6 +1,6 @@
 // google-benchmark micro suite for the substrate kernels and the paper's
-// Section 6.2 ablations: triangle listing, global truss peeling, k-core
-// peeling, per-vertex vs one-shot ego extraction, hash vs bitmap ego
+// Section 6.2 ablations: triangle listing, global truss peeling,
+// per-vertex vs one-shot ego extraction, hash vs bitmap ego
 // decomposition, TSD/GCT score queries, and union-find throughput.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "core/tsd_index.h"
 #include "graph/ego_network.h"
 #include "graph/generators.h"
-#include "truss/core_decomposition.h"
 #include "truss/ego_truss.h"
 #include "graph/triangle.h"
 #include "truss/truss_decomposition.h"
@@ -48,16 +47,6 @@ void BM_TrussDecomposition(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(BM_TrussDecomposition)->Arg(12)->Arg(14);
-
-void BM_CoreDecomposition(benchmark::State& state) {
-  const Graph& g = TestGraph(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    CoreDecomposition cd(g);
-    benchmark::DoNotOptimize(cd.max_core());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_CoreDecomposition)->Arg(12)->Arg(14);
 
 void BM_EgoExtractionPerVertex(benchmark::State& state) {
   const Graph& g = TestGraph(12);

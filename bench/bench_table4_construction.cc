@@ -25,6 +25,10 @@ int Run(int argc, char** argv) {
       "Table 4", "ego-network extraction + decomposition time, TSD vs GCT",
       scale);
   std::cout << "construction threads: " << num_threads << "\n";
+  if (num_threads > 1) {
+    std::cout << "note: extract/decomp columns are CPU time summed over "
+                 "workers; total is wall time\n";
+  }
 
   // "Load snap" is the alternative to construction entirely: mmap-loading a
   // previously saved GCT snapshot of the same graph (common/snapshot.h).

@@ -21,22 +21,10 @@
 
 namespace tsd {
 
-/// Algorithm tag for the pluggable truss-decomposition kernels implemented
-/// by truss/truss_plan.h. It lives here — not in truss/ — so ParallelConfig
-/// (and core's QueryOptions mirror) can carry the selection down through
-/// the preprocessing layers without a common/ → truss/ dependency; common/
-/// treats it as an opaque tag and never interprets it.
-enum class TrussPlanAlgorithm : std::uint8_t {
-  /// Statistics-driven choice (one cheap pass over the degree sequence;
-  /// see TrussPlan::Auto in truss/truss_plan.h).
-  kAuto = 0,
-  /// Frontier-parallel bulk-synchronous peel — the reference plan.
-  kBsp,
-  /// k-core prefilter first; edges whose Burkhardt core-number bound can
-  /// never reach the requested trussness are pruned before any triangle
-  /// counting.
-  kCoreThenTruss,
-};
+/// Compatibility shim: delete in the next benchmark PR (ROADMAP item 1).
+/// An empty tag that only keeps the compatibility spelling of
+/// truss/truss_plan.h compiling; it selects nothing.
+struct LegacyPlanTag {};
 
 /// Thread/chunk knobs for the parallel kernels that run outside the query
 /// pipeline (triangle counting, global truss decomposition, index
@@ -50,9 +38,9 @@ struct ParallelConfig {
   /// sequential, 8 per thread otherwise, matching the index builders and
   /// the query pipeline).
   std::uint32_t num_chunks = 0;
-  /// Which truss-decomposition kernel the preprocessing stages should run
-  /// (every plan is bit-identical on trussness; this is a performance knob).
-  TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
+  /// Compatibility shim: delete in the next benchmark PR (ROADMAP item 1).
+  /// A constant, not a setting.
+  static constexpr LegacyPlanTag truss_plan{};
 
   bool operator==(const ParallelConfig&) const = default;
 };

@@ -18,7 +18,6 @@
 // count of Lemma 2, i.e. v's triangles in the truss — is Σ_{e∋v} sup(e) / 2,
 // so no second triangle count runs. The peel runs on the session's thread
 // knobs and is identical at any thread count (the (k+1)-truss is unique).
-// The session's truss plan (--plan) does not affect this searcher.
 //
 // The bound-computation, exact-verification, and context phases all run on
 // the shared QueryPipeline; with num_threads > 1 the early termination

@@ -93,6 +93,10 @@ struct ScoreCeiling {
 };
 
 /// Timing breakdown of index construction (feeds Tables 3 and 4).
+/// total_seconds is wall time. The three phase fields add up each worker's
+/// phase time over all workers (BuildChunks; GCT's global listing adds its
+/// wall time to extraction), so above one thread they are CPU time and can
+/// together exceed total_seconds.
 struct IndexBuildStats {
   double extraction_seconds = 0;     // ego-network extraction
   double decomposition_seconds = 0;  // ego-network truss decomposition

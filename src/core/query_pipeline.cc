@@ -101,11 +101,6 @@ QueryOptions QueryOptionsFromFlags(const Flags& flags) {
       std::max<std::int64_t>(1, flags.GetInt("threads", 1)));
   options.num_chunks = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, flags.GetInt("chunks", 0)));
-  const std::string plan = flags.GetString("plan", "auto");
-  const std::optional<TrussPlanAlgorithm> parsed = ParseTrussPlanAlgorithm(plan);
-  TSD_CHECK_MSG(parsed.has_value(),
-                "--plan must be one of " << TrussPlanAlgorithmNames());
-  options.truss_plan = *parsed;
   return options;
 }
 

@@ -256,8 +256,7 @@ QueryOptions QueryOptionsFromFlags(const Flags& flags);
 /// (global truss decomposition, triangle counting, the global ego listing)
 /// take a common/ ParallelConfig so they stay below core/ in the layering.
 inline ParallelConfig ToParallelConfig(const QueryOptions& options) {
-  return ParallelConfig{options.num_threads, options.num_chunks,
-                        options.truss_plan};
+  return ParallelConfig{options.num_threads, options.num_chunks};
 }
 
 // ---------------------------------------------------------------------------

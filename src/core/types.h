@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"  // TrussPlanAlgorithm
 #include "graph/graph.h"
 
 namespace tsd {
@@ -35,12 +34,6 @@ struct QueryOptions {
   /// Chunks the candidate range is split into (0 = auto: one chunk when
   /// sequential, 8 per thread otherwise, matching the index builders).
   std::uint32_t num_chunks = 0;
-  /// Truss-decomposition kernel for callers that run a global
-  /// decomposition on these knobs (tsdtool stats). Every plan yields
-  /// bit-identical trussness — this is a performance knob (tsdtool --plan).
-  /// No searcher reads it: the bound searcher peels its (k+1)-truss
-  /// directly (truss/k_truss.h).
-  TrussPlanAlgorithm truss_plan = TrussPlanAlgorithm::kAuto;
 
   bool operator==(const QueryOptions&) const = default;
 };

@@ -5,15 +5,13 @@
 #include "common/bucket_queue.h"
 
 namespace tsd {
-namespace {
 
-template <typename OffsetT>
-std::vector<std::uint32_t> PeelCores(std::size_t num_vertices,
-                                     std::span<const OffsetT> offsets,
-                                     std::span<const VertexId> adj) {
+std::vector<std::uint32_t> CoreNumbersCsr(
+    std::size_t num_vertices, std::span<const std::uint32_t> offsets,
+    std::span<const VertexId> adj) {
   std::vector<std::uint32_t> degrees(num_vertices);
   for (std::size_t v = 0; v < num_vertices; ++v) {
-    degrees[v] = static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
+    degrees[v] = offsets[v + 1] - offsets[v];
   }
   std::vector<std::uint32_t> core(num_vertices, 0);
   if (num_vertices == 0) return core;
@@ -24,26 +22,12 @@ std::vector<std::uint32_t> PeelCores(std::size_t num_vertices,
     const VertexId v = static_cast<VertexId>(queue.PopMin());
     level = std::max(level, queue.Key(v));
     core[v] = level;
-    for (auto i = offsets[v]; i < offsets[v + 1]; ++i) {
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       const VertexId u = adj[i];
       if (!queue.Removed(u)) queue.DecreaseKeyClamped(u, level);
     }
   }
   return core;
-}
-
-}  // namespace
-
-CoreDecomposition::CoreDecomposition(const Graph& graph) {
-  core_ = PeelCores<std::uint64_t>(graph.num_vertices(), graph.offsets(),
-                                   graph.adjacency());
-  for (std::uint32_t c : core_) max_core_ = std::max(max_core_, c);
-}
-
-std::vector<std::uint32_t> CoreNumbersCsr(
-    std::size_t num_vertices, std::span<const std::uint32_t> offsets,
-    std::span<const VertexId> adj) {
-  return PeelCores<std::uint32_t>(num_vertices, offsets, adj);
 }
 
 }  // namespace tsd

@@ -1,9 +1,11 @@
 // k-core decomposition (Batagelj–Zaveršnik bin-sort peeling).
 //
-// Substrate for the Core-Div baseline [20]: the core number of a vertex is
-// the largest k such that it belongs to a subgraph of minimum degree k.
+// Substrate for the Core-Div baseline [20] (core/scoring.cc): the core
+// number of a vertex is the largest k such that it belongs to a subgraph of
+// minimum degree k.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -12,22 +14,8 @@
 
 namespace tsd {
 
-class CoreDecomposition {
- public:
-  /// O(n + m) peeling on construction.
-  explicit CoreDecomposition(const Graph& graph);
-
-  std::uint32_t core(VertexId v) const { return core_[v]; }
-  const std::vector<std::uint32_t>& core_numbers() const { return core_; }
-  std::uint32_t max_core() const { return max_core_; }
-
- private:
-  std::vector<std::uint32_t> core_;
-  std::uint32_t max_core_ = 0;
-};
-
-/// Core numbers for an arbitrary CSR slice (used on local ego-networks).
-/// `offsets`/`adj` describe the local graph over ids [0, num_vertices).
+/// Core numbers of a CSR graph over ids [0, num_vertices) (used on local
+/// ego-networks). O(n + m).
 std::vector<std::uint32_t> CoreNumbersCsr(std::size_t num_vertices,
                                           std::span<const std::uint32_t> offsets,
                                           std::span<const VertexId> adj);

@@ -29,8 +29,8 @@ void EgoTrussDecomposer::ComputeInto(EgoNetwork& ego,
       return bitmap_fits ? ComputeBitmapInto(ego, trussness)
                          : ComputeHashInto(ego, trussness);
     case EgoTrussMethod::kAuto:
-      // Same density rule as the global plan subsystem's bitmap kernel
-      // (truss_plan.h): the bitmap kernel pays O(l²/64) for zeroing and
+      // Same density rule as the global support stage's bitmap kernel
+      // (truss/support.h): the bitmap kernel pays O(l²/64) for zeroing and
       // per-edge AND scans, so it only beats merge intersection on
       // sufficiently dense ego-networks.
       return internal::BitmapSupportEligible(l, ego.num_edges(),

@@ -19,7 +19,7 @@
 #include "common/bitmap.h"
 #include "common/bucket_queue.h"
 #include "graph/ego_network.h"
-#include "truss/truss_plan.h"
+#include "truss/support.h"
 
 namespace tsd {
 
@@ -35,9 +35,9 @@ class EgoTrussDecomposer {
  public:
   /// `bitmap_budget_bytes` caps the transient bitmap matrix; above it,
   /// kAuto and kBitmap fall back to the hash kernel. The default budget and
-  /// the kAuto density rule are shared with the global plan subsystem
-  /// (truss_plan.h), so ego-level and global-level kernel selection stay in
-  /// agreement.
+  /// the kAuto density rule are shared with the global support stage
+  /// (truss/support.h), so ego-level and global-level kernel selection stay
+  /// in agreement.
   explicit EgoTrussDecomposer(
       EgoTrussMethod method = EgoTrussMethod::kAuto,
       std::size_t bitmap_budget_bytes = internal::kBitmapBudgetBytes);

@@ -5,7 +5,7 @@
 #include "common/check.h"
 #include "common/disjoint_set.h"
 #include "truss/parallel_truss.h"
-#include "truss/truss_plan.h"
+#include "truss/support.h"
 
 namespace tsd {
 namespace {

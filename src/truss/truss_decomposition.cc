@@ -2,17 +2,15 @@
 
 #include <algorithm>
 
-#include "truss/truss_plan.h"
+#include "truss/parallel_truss.h"
+#include "truss/support.h"
 
 namespace tsd {
 
 TrussDecomposition::TrussDecomposition(const Graph& graph,
-                                       const ParallelConfig& config,
-                                       const TrussPlan& plan) {
-  // Every plan routes to kernels that are bit-identical to the sequential
-  // decomposition (trussness is unique); the plan only changes how the
-  // fixed point is reached and how much work is pruned on the way.
-  edge_trussness_ = TrussnessWithPlan(graph, plan, config, &plan_stats_);
+                                       const ParallelConfig& config) {
+  edge_trussness_ = TrussnessFromSupport(
+      graph, internal::PeelSupport(graph, config, &bitmap_kernel_), config);
 
   vertex_trussness_.assign(graph.num_vertices(), 0);
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {

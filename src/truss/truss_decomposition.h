@@ -6,16 +6,11 @@
 // incident edges), used by graph sparsification and GCT supernode
 // initialization.
 //
-// Construction accepts a ParallelConfig and routes through the TrussPlan
-// subsystem (truss/truss_plan.h): config.truss_plan picks the kernel (Bsp,
-// CoreThenTruss, or the statistics-driven auto-tuner) and
-// config.num_threads its parallelism. Trussness is unique, so every plan is
-// bit-identical to the sequential decomposition at any thread count. A
-// caller that only consumes trussness ≥ t may pass an explicit plan with
-// min_trussness = t; the derived state (vertex trussness, histogram) then
-// reflects the degraded sub-threshold values — see the min_trussness
-// contract in truss_plan.h. No library searcher passes such a floor any
-// more (a caller that needs one k-truss runs KTrussPeel, truss/k_truss.h).
+// One path: the support stage (truss/support.h), then the frontier-parallel
+// peel of truss/parallel_truss.h on config.num_threads workers. Trussness
+// is unique, so the result is bit-identical to the sequential decomposition
+// at any thread count. A caller that needs only one k-truss runs KTrussPeel
+// (truss/k_truss.h) instead.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +28,14 @@ class TrussDecomposition {
   explicit TrussDecomposition(const Graph& graph)
       : TrussDecomposition(graph, ParallelConfig{}) {}
 
-  /// Same decomposition on `config.num_threads` workers (bit-identical),
-  /// under the kernel selected by config.truss_plan with the full-exactness
-  /// floor min_trussness = 2.
-  TrussDecomposition(const Graph& graph, const ParallelConfig& config)
-      : TrussDecomposition(graph, config,
-                           TrussPlan::FromAlgorithm(config.truss_plan)) {}
+  /// Same decomposition on `config.num_threads` workers (bit-identical).
+  TrussDecomposition(const Graph& graph, const ParallelConfig& config);
 
-  /// Explicit-plan constructor; the only way to run with a consumption
-  /// floor above 2.
+  /// Compatibility shim: delete in the next benchmark PR (ROADMAP item 1).
+  /// Ignores the plan and its floor.
   TrussDecomposition(const Graph& graph, const ParallelConfig& config,
-                     const TrussPlan& plan);
+                     const TrussPlan& /*plan*/)
+      : TrussDecomposition(graph, config) {}
 
   /// Trussness of edge e (≥ 2 for every edge).
   std::uint32_t trussness(EdgeId e) const { return edge_trussness_[e]; }
@@ -63,15 +55,18 @@ class TrussDecomposition {
   /// histogram[k] = number of edges with trussness exactly k (Figure 3).
   std::vector<std::uint64_t> TrussnessHistogram() const;
 
-  /// How the plan executed: resolved algorithm, bitmap-kernel use, edges
-  /// pruned by the core prefilter, and the auto-tuner's input statistics.
-  const TrussPlanStats& plan_stats() const { return plan_stats_; }
+  /// Whether supports were counted with the bitmap kernel (truss/support.h)
+  /// rather than the marking triangle kernel.
+  bool bitmap_kernel() const { return bitmap_kernel_; }
+
+  /// Compatibility shim: delete in the next benchmark PR (ROADMAP item 1).
+  TrussPlanStats plan_stats() const { return {}; }
 
  private:
   std::vector<std::uint32_t> edge_trussness_;
   std::vector<std::uint32_t> vertex_trussness_;
   std::uint32_t max_trussness_ = 0;
-  TrussPlanStats plan_stats_;
+  bool bitmap_kernel_ = false;
 };
 
 }  // namespace tsd

@@ -45,7 +45,6 @@
 #include "server/stdin_proto.h"
 #include "truss/parallel_truss.h"
 #include "truss/truss_decomposition.h"
-#include "truss/truss_plan.h"
 
 namespace {
 
@@ -54,10 +53,7 @@ using namespace tsd;
 int Usage() {
   std::cerr <<
       "usage: tsdtool <command> [args]\n"
-      "  stats <edge-list> [--threads=1] [--plan=auto]\n"
-      "                                            graph + trussness stats,\n"
-      "                                            plus the plan tuner's\n"
-      "                                            input statistics\n"
+      "  stats <edge-list> [--threads=1]           graph + trussness stats\n"
       "  topr  <edge-list> [--k=3] [--r=10] [--method=gct] [--threads=1]\n"
       "                                            top-r diversity search\n"
       "  batch <edge-list> --k=4,6,8 [--r=10] [--method=gct] [--threads=1]\n"
@@ -127,18 +123,12 @@ int Usage() {
       "version, corruption), a warning goes to stderr and the command falls\n"
       "back to rebuilding from the edge list. Output is byte-identical\n"
       "either way.\n"
-      "--threads=N runs the query pipeline on N workers — including the\n"
-      "preprocessing stages: the global truss decomposition behind stats,\n"
-      "the bound method's k-truss peel, triangle counting, and index\n"
-      "construction (build).\n"
-      "Output is identical at any thread count; --chunks=M tunes load\n"
-      "balancing. Results go to stdout, diagnostics to stderr.\n"
-      "--plan={auto,bsp,core-truss} picks the truss-decomposition kernel\n"
-      "of stats (e.g. `tsdtool stats g.txt --plan=core-truss`).\n"
-      "Every plan produces bit-identical trussness — auto picks from the\n"
-      "tuner statistics that `stats` prints. The bound method computes no\n"
-      "trussness: it peels the (k+1)-truss directly, so --plan does not\n"
-      "affect it.\n";
+      "--threads=N runs the query pipeline on N workers, and with it the\n"
+      "preprocessing stages: triangle counting, the global truss\n"
+      "decomposition behind stats, the bound method's (k+1)-truss peel,\n"
+      "and index construction (build). Output is identical at any thread\n"
+      "count; --chunks=M tunes load balancing. Results go to stdout,\n"
+      "diagnostics to stderr.\n";
   return 2;
 }
 
@@ -317,17 +307,6 @@ int RunStats(const Graph& g, const Flags& flags) {
             std::uint64_t{td.max_trussness()});
   table.Print(std::cout);
 
-  // The auto-tuner's inputs (truss_plan.h). Pure graph properties, so this
-  // block — like everything on stdout here — is byte-identical under every
-  // --plan; the plan resolution itself is a diagnostic and goes to stderr.
-  const GraphStatistics& gs = td.plan_stats().graph_stats;
-  std::cout << "\nplan tuner statistics:\n";
-  TablePrinter tuner({"density", "avg_deg", "degen<=", "skew"});
-  tuner.Row(FormatDouble(gs.density, 6), FormatDouble(gs.average_degree, 2),
-            std::uint64_t{gs.degeneracy_bound},
-            FormatDouble(gs.degree_skew, 2));
-  tuner.Print(std::cout);
-
   std::cout << "\nedge trussness histogram:\n";
   TablePrinter hist({"trussness", "edges"});
   const auto histogram = td.TrussnessHistogram();
@@ -336,11 +315,7 @@ int RunStats(const Graph& g, const Flags& flags) {
   }
   hist.Print(std::cout);
 
-  const TrussPlanStats& ps = td.plan_stats();
-  std::cerr << "plan: " << TrussPlanAlgorithmName(ps.requested)
-            << " -> " << TrussPlanAlgorithmName(ps.algorithm)
-            << (ps.bitmap_kernel ? " (bitmap support kernel)" : "")
-            << ", edges pruned: " << ps.edges_pruned
+  std::cerr << "support kernel: " << (td.bitmap_kernel() ? "bitmap" : "marking")
             << ", decomposition time: " << HumanSeconds(decompose_seconds)
             << "\n";
   return 0;
