@@ -34,7 +34,9 @@ int Run(int argc, char** argv) {
   // previously saved GCT snapshot of the same graph (common/snapshot.h).
   const std::string snap_path =
       (std::filesystem::temp_directory_path() / "tsd_table4.snap").string();
+  // The paper's TSD construction: per-vertex extraction, hash kernel.
   TsdIndex::Options tsd_options;
+  tsd_options.method = EgoTrussMethod::kHash;
   tsd_options.num_threads = num_threads;
   TablePrinter table({"Network", "Extract TSD", "Extract GCT", "Decomp TSD",
                       "Decomp GCT", "Load snap"});

@@ -92,8 +92,10 @@ class Bitmap {
     }
   }
 
-  /// Approximate heap footprint in bytes.
-  std::size_t MemoryBytes() const { return words_.size() * sizeof(std::uint64_t); }
+  /// Heap footprint in bytes (the word buffer's capacity).
+  std::size_t MemoryBytes() const {
+    return words_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   static std::size_t WordCount(std::size_t bits) { return (bits + 63) / 64; }

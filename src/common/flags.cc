@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -22,6 +23,14 @@ Flags::Flags(int argc, char** argv) {
     } else {
       values_[arg] = "true";  // bare boolean flag
     }
+  }
+}
+
+void Flags::RejectUnknown(std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    const bool is_known =
+        std::find(known.begin(), known.end(), name) != known.end();
+    TSD_CHECK_MSG(is_known, "unknown flag --" << name);
   }
 }
 

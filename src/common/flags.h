@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tsd {
@@ -27,6 +29,10 @@ class Flags {
   bool GetBool(const std::string& name, bool default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Throws CheckError naming the first --name not in `known`, so a
+  /// misspelt flag fails instead of running with a default.
+  void RejectUnknown(std::span<const std::string_view> known) const;
 
   /// Benchmark scale selector: reads --scale, falling back to the
   /// TSD_BENCH_SCALE environment variable, then "small".

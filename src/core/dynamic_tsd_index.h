@@ -12,7 +12,8 @@
 // (each an O(ρ_v · m_v) local job) and leaves the rest of the index
 // untouched. Every slice, at construction and after an update, comes from
 // the ForestSliceBuilder that TsdIndex::Build runs (core/forest_slice.h),
-// over the DynamicGraph instead of a CSR Graph. Property tests verify
+// with the same bitmap ego kernel, over the DynamicGraph instead of a CSR
+// Graph. Property tests verify
 // equality with a from-scratch rebuild after every update.
 //
 // Concurrency contract (the epoch design; common/epoch.h):

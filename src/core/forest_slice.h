@@ -142,7 +142,7 @@ class ForestSliceBuilder {
   /// With `listing` (of `graph`, outliving the builder), ego networks are
   /// materialized from it (Section 6.2) instead of extracted.
   explicit ForestSliceBuilder(const Adjacency& graph,
-                              EgoTrussMethod method = EgoTrussMethod::kHash,
+                              EgoTrussMethod method = EgoTrussMethod::kBitmap,
                               const GlobalEgoNetworks* listing = nullptr)
       : extractor_(graph), listing_(listing), decomposer_(method) {}
 

@@ -42,10 +42,11 @@ namespace tsd {
 class TsdIndex : public DiversitySearcher {
  public:
   struct Options {
-    /// Kernel for the per-ego truss decompositions during construction.
-    /// The paper's TSD uses per-vertex extraction + hash decomposition;
-    /// the GCT improvements live in GctIndex.
-    EgoTrussMethod method = EgoTrussMethod::kHash;
+    /// Kernel for the per-ego truss decompositions during construction:
+    /// the bitmap kernel, falling back to hash where the matrix exceeds
+    /// its budget (as GctIndex does). The index is the same with either;
+    /// kHash, the paper's TSD construction, is kept for Table 4.
+    EgoTrussMethod method = EgoTrussMethod::kBitmap;
     /// Worker threads for construction. Per-vertex forests are independent,
     /// so the build parallelizes embarrassingly; results are bit-identical
     /// to the sequential build. With >1 threads the per-phase timing

@@ -143,7 +143,7 @@ class GraphBuilder {
   /// Records the undirected edge {u, v}. Order of u, v is irrelevant.
   GraphBuilder& AddEdge(VertexId u, VertexId v) {
     if (u > v) std::swap(u, v);
-    edges_.emplace_back(u, v);
+    edges_.push_back(Edge{u, v});
     if (v != kInvalidVertex) {
       num_vertices_ = std::max<std::uint64_t>(num_vertices_,
                                               std::uint64_t{v} + 1);
@@ -159,12 +159,13 @@ class GraphBuilder {
 
   std::size_t num_pending_edges() const { return edges_.size(); }
 
-  /// Finalizes into a CSR graph. The builder is left empty.
+  /// Finalizes into a CSR graph. The builder is left empty. Edges added in
+  /// (u, v) order with u < v skip the sort (one linear check decides).
   Graph Build();
 
  private:
   std::uint64_t num_vertices_ = 0;
-  std::vector<std::pair<VertexId, VertexId>> edges_;
+  std::vector<Edge> edges_;  // canonical (u <= v); moved into the Graph
 };
 
 }  // namespace tsd

@@ -125,6 +125,17 @@ void EgoTrussDecomposer::ComputeBitmapInto(
     bitmaps_[x].Clear(y);
     bitmaps_[y].Clear(x);
   }
+  // Rows are only ever grown, to the largest matrix since the last free, so
+  // freeing every matrix above the cap keeps the rows within it.
+  const std::uint64_t matrix_bytes =
+      std::uint64_t{l} * ((l + 63) / 64) * sizeof(std::uint64_t);
+  if (matrix_bytes > kRetainedBitmapBytes) bitmaps_ = {};
+}
+
+std::size_t EgoTrussDecomposer::retained_bitmap_bytes() const {
+  std::size_t bytes = 0;
+  for (const Bitmap& row : bitmaps_) bytes += row.MemoryBytes();
+  return bytes;
 }
 
 std::vector<std::uint32_t> ComputeEgoTrussness(EgoNetwork& ego,

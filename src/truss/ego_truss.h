@@ -2,12 +2,14 @@
 //
 // Two interchangeable kernels:
 //  * kHash   — classic adjacency-intersection support computation followed
-//              by bucket peeling (what TSD-index construction uses).
+//              by bucket peeling (what the query-time searchers use, and the
+//              paper's TSD column of Table 4).
 //  * kBitmap — the Section 6.2 optimization: per-vertex adjacency bitmaps;
 //              support is AND-popcount; the peeling updates bitmaps as edges
-//              are removed. Faster on dense ego-networks, falls back to
-//              kHash automatically when the bitmap footprint (|N(v)|² bits)
-//              would exceed a memory budget.
+//              are removed. Falls back to kHash automatically when the
+//              bitmap footprint (|N(v)|² bits) would exceed a memory budget.
+//              Every index build uses it: TsdIndex, GctIndex, and the
+//              DynamicTsdIndex constructor and updates.
 //
 // Both return the per-edge trussness of the ego-network, parallel to
 // EgoNetwork::edges, and are verified equivalent by property tests.
@@ -22,6 +24,9 @@
 #include "truss/support.h"
 
 namespace tsd {
+
+/// Largest bitmap matrix (bytes) an EgoTrussDecomposer keeps for reuse.
+inline constexpr std::size_t kRetainedBitmapBytes = std::size_t{1} << 20;
 
 enum class EgoTrussMethod {
   kHash,
@@ -52,6 +57,12 @@ class EgoTrussDecomposer {
   void ComputeInto(EgoNetwork& ego, std::vector<std::uint32_t>* trussness);
 
   EgoTrussMethod method() const { return method_; }
+
+  /// Heap bytes the bitmap rows hold between calls: at most
+  /// kRetainedBitmapBytes, because a call whose matrix is larger frees the
+  /// rows when it ends. So a long-lived decomposer (the dynamic index's)
+  /// does not keep a hub's matrix.
+  std::size_t retained_bitmap_bytes() const;
 
  private:
   void ComputeHashInto(EgoNetwork& ego, std::vector<std::uint32_t>* trussness);

@@ -12,6 +12,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -362,6 +363,22 @@ TEST(FlagsTest, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--k=abc"};
   Flags flags(2, const_cast<char**>(argv));
   EXPECT_THROW(flags.GetInt("k", 0), CheckError);
+}
+
+TEST(FlagsTest, RejectUnknownNamesTheFlag) {
+  const char* argv[] = {"prog", "stats", "--threads=2", "--thread=8"};
+  Flags flags(4, const_cast<char**>(argv));
+  constexpr std::string_view kKnown[] = {"threads", "chunks"};
+  try {
+    flags.RejectUnknown(kKnown);
+    FAIL() << "accepted --thread";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag --thread"),
+              std::string::npos)
+        << e.what();
+  }
+  constexpr std::string_view kAll[] = {"threads", "thread"};
+  EXPECT_NO_THROW(flags.RejectUnknown(kAll));
 }
 
 // ---------------------------------------------------------------- MpscQueue

@@ -222,6 +222,34 @@ TEST(EgoTrussTest, BitmapFallsBackWhenOverBudget) {
   EXPECT_EQ(tiny_budget.Compute(ego1), hash.Compute(ego2));
 }
 
+// A decomposer can live as long as a server (the dynamic index keeps one),
+// so it must not keep a hub's bitmap matrix after the call that needed it.
+TEST(EgoTrussTest, BitmapScratchIsBoundedAfterAHub) {
+  constexpr VertexId kLeaves = 4000;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 1; i <= kLeaves; ++i) {
+    edges.emplace_back(0, i);
+    if (i > 1) edges.emplace_back(i - 1, i);
+  }
+  const Graph g = Graph::FromEdges(std::move(edges));
+  EgoNetworkExtractor extractor(g);
+  EgoTrussDecomposer bitmap(EgoTrussMethod::kBitmap);
+  EgoTrussDecomposer hash(EgoTrussMethod::kHash);
+
+  EgoNetwork hub = extractor.Extract(0);
+  const std::uint64_t l = hub.num_members();
+  ASSERT_GT(l * l / 8, kRetainedBitmapBytes);
+  EgoNetwork hub_copy = hub;
+  EXPECT_EQ(bitmap.Compute(hub), hash.Compute(hub_copy));
+  EXPECT_LE(bitmap.retained_bitmap_bytes(), kRetainedBitmapBytes);
+
+  EgoNetwork small = extractor.Extract(2);
+  EgoNetwork small_copy = small;
+  EXPECT_EQ(bitmap.Compute(small), hash.Compute(small_copy));
+  EXPECT_GT(bitmap.retained_bitmap_bytes(), 0u);
+  EXPECT_LE(bitmap.retained_bitmap_bytes(), kRetainedBitmapBytes);
+}
+
 TEST(EgoTrussTest, EmptyEgoNetwork) {
   // A leaf vertex's ego-network has one member and no edges.
   Graph g = Graph::FromEdges({{0, 1}, {1, 2}, {0, 2}, {2, 3}});

@@ -8,7 +8,9 @@
 #include <iterator>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/snapshot.h"
+#include "core/dynamic_tsd_index.h"
 #include "core/gct_index.h"
 #include "core/online_search.h"
 #include "core/tsd_index.h"
@@ -93,7 +95,9 @@ TEST(TsdIndexTest, BitmapBuildOptionProducesIdenticalIndex) {
   Graph g = HolmeKim(250, 6, 0.6, 31);
   TsdIndex::Options bitmap_options;
   bitmap_options.method = EgoTrussMethod::kBitmap;
-  TsdIndex hash_built = TsdIndex::Build(g);
+  TsdIndex::Options hash_options;
+  hash_options.method = EgoTrussMethod::kHash;
+  TsdIndex hash_built = TsdIndex::Build(g, hash_options);
   TsdIndex bitmap_built = TsdIndex::Build(g, bitmap_options);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (std::uint32_t k = 2; k <= 6; ++k) {
@@ -266,6 +270,56 @@ TEST(GctIndexTest, EqualWeightTieFollowsKruskalOrder) {
   EXPECT_EQ(index.NumSuperedges(0), 1u);
   EXPECT_EQ(index.NumSupernodes(10), 3u);
   EXPECT_EQ(index.NumSuperedges(10), 2u);
+}
+
+// Every TSD producer runs the bitmap kernel by default: the static build at
+// any thread count, the dynamic constructor and its updates. Their tsdx.*
+// bytes must equal the hash kernel's build.
+TEST(TsdIndexTest, BitmapKernelProducersMatchHashKernelBytes) {
+  const std::vector<Graph> graphs = {
+      HolmeKim(300, 5, 0.6, 21), HolmeKim(250, 6, 0.6, 31),
+      MakeDataset("email-enron", "tiny"), MakeDataset("wiki-vote", "tiny"),
+      EqualWeightTieGraph()};
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "graph " << i);
+    const Graph& g = graphs[i];
+    TsdIndex::Options hash;
+    hash.method = EgoTrussMethod::kHash;
+    const std::string reference =
+        SnapshotBytes(TsdIndex::Build(g, hash), "tsd_kernel_reference.bin");
+    for (const std::uint32_t threads : {1U, 2U, 8U}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      hash.num_threads = threads;
+      TsdIndex::Options bitmap;
+      bitmap.num_threads = threads;
+      EXPECT_EQ(SnapshotBytes(TsdIndex::Build(g, hash), "tsd_kernel.bin"),
+                reference);
+      EXPECT_EQ(SnapshotBytes(TsdIndex::Build(g, bitmap), "tsd_kernel.bin"),
+                reference);
+    }
+
+    DynamicTsdIndex dynamic(g);
+    EXPECT_EQ(SnapshotBytes(dynamic.Freeze(), "tsd_kernel_dynamic.bin"),
+              reference);
+    // Remove sampled edges and insert absent ones, then undo both.
+    Rng rng(97 + i);
+    std::vector<Edge> removed;
+    std::vector<Edge> inserted;
+    for (int step = 0; step < 40; ++step) {
+      const Edge e = g.edge(static_cast<EdgeId>(rng.Uniform(g.num_edges())));
+      if (dynamic.RemoveEdge(e.u, e.v)) removed.push_back(e);
+      const auto u = static_cast<VertexId>(rng.Uniform(g.num_vertices()));
+      const auto v = static_cast<VertexId>(rng.Uniform(g.num_vertices()));
+      if (u != v && !g.HasEdge(u, v) && dynamic.InsertEdge(u, v)) {
+        inserted.push_back(Edge{u, v});
+      }
+    }
+    ASSERT_FALSE(removed.empty());
+    for (const Edge& e : inserted) EXPECT_TRUE(dynamic.RemoveEdge(e.u, e.v));
+    for (const Edge& e : removed) EXPECT_TRUE(dynamic.InsertEdge(e.u, e.v));
+    EXPECT_EQ(SnapshotBytes(dynamic.Freeze(), "tsd_kernel_updated.bin"),
+              reference);
+  }
 }
 
 // The contraction of the forest slices must reproduce Algorithm 8 array

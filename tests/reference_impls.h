@@ -6,12 +6,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/disjoint_set.h"
 #include "core/types.h"
 #include "graph/ego_network.h"
@@ -313,5 +317,58 @@ class ReferenceRanking {
  private:
   std::vector<TopREntry> all_;
 };
+
+/// The text edge-list loader before the block reader and its fast path:
+/// std::getline per line, strtoull/strtod on every line. It drops
+/// self-loops, sorts and dedups the edges itself before handing them to
+/// GraphBuilder, so the builder's sorted-input shortcut is checked too.
+inline Graph ReferenceLoadEdgeListText(const std::string& path) {
+  std::ifstream in(path);
+  TSD_CHECK_MSG(in.good(), "cannot open edge list: " << path);
+  const auto skip_space = [](const char* p) {
+    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
+    return p;
+  };
+
+  std::vector<Edge> edges;
+  VertexId num_vertices = 0;
+  std::string line;
+  std::size_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#' ||
+        line[first] == '%') {
+      continue;
+    }
+    const char* p = line.c_str() + first;
+    char* end = nullptr;
+    const unsigned long long u = std::strtoull(p, &end, 10);
+    TSD_CHECK_MSG(end != p, "parse error at " << path << ":" << line_number);
+    p = end;
+    const unsigned long long v = std::strtoull(p, &end, 10);
+    TSD_CHECK_MSG(end != p, "parse error at " << path << ":" << line_number);
+    TSD_CHECK_MSG(u < kInvalidVertex && v < kInvalidVertex,
+                  "vertex id overflow at " << path << ":" << line_number);
+    p = skip_space(end);
+    if (*p != '\0') {
+      std::strtod(p, &end);
+      TSD_CHECK_MSG(end != p && *skip_space(end) == '\0',
+                    "trailing garbage after edge at " << path << ":"
+                                                      << line_number << ": '"
+                                                      << line << "'");
+    }
+    const auto a = static_cast<VertexId>(std::min(u, v));
+    const auto b = static_cast<VertexId>(std::max(u, v));
+    num_vertices = std::max(num_vertices, b + 1);
+    if (a != b) edges.push_back(Edge{a, b});
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  GraphBuilder builder;
+  for (const Edge& e : edges) builder.AddEdge(e.u, e.v);
+  builder.EnsureVertices(num_vertices);
+  return builder.Build();
+}
 
 }  // namespace tsd::testing

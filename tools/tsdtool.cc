@@ -21,6 +21,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -49,6 +50,16 @@
 namespace {
 
 using namespace tsd;
+
+/// Every flag some tsdtool command reads. Any other --name is an error,
+/// raised before a file is read.
+constexpr std::string_view kFlagNames[] = {
+    "bind",       "chunks",      "connect",      "contexts", "drain-ms",
+    "index",      "index-file",  "k",            "listen",   "m-per",
+    "max-batch",  "max-depth",   "max-outbound", "max-r",    "method",
+    "model",      "n",           "out",          "p",        "port-file",
+    "r",          "seed",        "shards",       "shutdown", "stats",
+    "stdin-proto", "threads",    "timeout-ms",   "v"};
 
 int Usage() {
   std::cerr <<
@@ -128,7 +139,7 @@ int Usage() {
       "decomposition behind stats, the bound method's (k+1)-truss peel,\n"
       "and index construction (build). Output is identical at any thread\n"
       "count; --chunks=M tunes load balancing. Results go to stdout,\n"
-      "diagnostics to stderr.\n";
+      "diagnostics to stderr. A flag that no command reads is an error.\n";
   return 2;
 }
 
@@ -672,6 +683,7 @@ int Run(int argc, char** argv) {
   const std::string command = flags.positional()[0];
 
   try {
+    flags.RejectUnknown(kFlagNames);
     if (command == "query") return RunQuery(flags);
     if (command == "gen") return RunGen(flags);
     if (command == "client") return RunClient(flags);
